@@ -1,12 +1,16 @@
 //! Criterion micro-benchmarks of the collector mechanisms: allocation,
-//! the write barrier, nursery collection, full collection, and BC's
-//! eviction-time bookmark scan.
+//! the write barrier, nursery collection, full collection, BC's
+//! eviction-time bookmark scan, and the charged object primitives every
+//! one of those is made of (`Core::{header, try_mark, scan_refs_into,
+//! init_object}`, DESIGN.md §10.2).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bookmarking::{BcOptions, Bookmarking};
-use heap::{AllocKind, CollectKind, GcHeap, HeapConfig, MemCtx};
+use heap::gc::Core;
+use heap::object::field_addr;
+use heap::{Address, AllocKind, CollectKind, GcHeap, HeapConfig, MemCtx, ObjectKind};
 use simtime::{Clock, CostModel};
 use simulate::CollectorKind;
 use vmm::{Vmm, VmmConfig};
@@ -188,8 +192,102 @@ fn bench_bookmark_scan(c: &mut Criterion) {
     });
 }
 
+/// The access path in isolation: one charged object primitive per step,
+/// cycling over 1024 initialised 32-byte objects (eight pages, 128 objects
+/// each, so 127 touches in 128 hit the last-touched page and one takes the
+/// page-table lookup — no faults, no collector around them). The vendored
+/// criterion shim times one call of the routine per sample, so each routine
+/// is a batch of [`OPS`] steps: divide the reported time by 65 536.
+fn bench_core_primitives(c: &mut Criterion) {
+    const OBJECTS: u32 = 1024;
+    const OPS: u32 = 1 << 16;
+    // Four reference fields, all on the header's page.
+    let kind = ObjectKind::scalar(6, 4);
+    let obj_at = |i: u32| Address(0x1040_0000 + (i % OBJECTS) * kind.size_bytes());
+    let setup = || {
+        let mut vmm = Vmm::new(
+            VmmConfig::builder().memory_bytes(64 << 20).build(),
+            CostModel::default(),
+        );
+        let mut clock = Clock::new();
+        let pid = vmm.register_process();
+        let mut core = Core::new(HeapConfig::builder().heap_bytes(8 << 20).build());
+        let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+        for i in 0..OBJECTS {
+            core.init_object(&mut ctx, obj_at(i), kind);
+            for f in 0..4 {
+                core.write_slot(&mut ctx, field_addr(obj_at(i), f), obj_at(i + 1 + f));
+            }
+        }
+        (vmm, clock, pid, core)
+    };
+    let mut group = c.benchmark_group("core_primitives_x65536");
+
+    group.bench_function("header", |b| {
+        let (mut vmm, mut clock, pid, mut core) = setup();
+        b.iter(|| {
+            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+            for i in 0..OPS {
+                black_box(core.header(&mut ctx, obj_at(i)));
+            }
+        });
+    });
+
+    // The store path: every object is found unmarked (the `clear_mark`
+    // that re-arms it is part of the measured step).
+    group.bench_function("try_mark_newly_marked+clear_mark", |b| {
+        let (mut vmm, mut clock, pid, mut core) = setup();
+        b.iter(|| {
+            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+            for i in 0..OPS {
+                black_box(core.try_mark(&mut ctx, obj_at(i)));
+                core.clear_mark(&mut ctx, obj_at(i));
+            }
+        });
+    });
+
+    // The read-only path a trace takes on every edge after the first.
+    group.bench_function("try_mark_already_marked", |b| {
+        let (mut vmm, mut clock, pid, mut core) = setup();
+        let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+        for i in 0..OBJECTS {
+            core.try_mark(&mut ctx, obj_at(i));
+        }
+        b.iter(|| {
+            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+            for i in 0..OPS {
+                black_box(core.try_mark(&mut ctx, obj_at(i)));
+            }
+        });
+    });
+
+    group.bench_function("scan_refs_into_4_refs_one_page", |b| {
+        let (mut vmm, mut clock, pid, mut core) = setup();
+        let mut refs = Vec::new();
+        b.iter(|| {
+            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+            for i in 0..OPS {
+                core.scan_refs_into(&mut ctx, obj_at(i), &mut refs);
+                black_box(refs.len());
+            }
+        });
+    });
+
+    group.bench_function("init_object_32_bytes", |b| {
+        let (mut vmm, mut clock, pid, mut core) = setup();
+        b.iter(|| {
+            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+            for i in 0..OPS {
+                core.init_object(&mut ctx, obj_at(i), kind);
+            }
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_core_primitives,
     bench_alloc,
     bench_write_barrier,
     bench_nursery_gc,

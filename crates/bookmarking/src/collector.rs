@@ -161,6 +161,12 @@ pub struct Bookmarking {
     /// Reusable VM-event buffer: notification pumps drain into it so the
     /// signal-handling paths never allocate.
     pub(crate) event_scratch: Vec<vmm::VmEvent>,
+    /// Reusable candidate list for `discard_empties_inner`, which runs on
+    /// every eviction notice and every 128th traced edge.
+    pub(crate) discard_scratch: Vec<vmm::VirtPage>,
+    /// Reusable `(slot, target)` buffer for the eviction-time page scans
+    /// (`readable_refs*`), one fill per cell of the victim page.
+    pub(crate) refs_scratch: Vec<(Address, Address)>,
 }
 
 impl Bookmarking {
@@ -204,6 +210,8 @@ impl Bookmarking {
             victim_vetoes: 0,
             deferred_evicted: Vec::new(),
             event_scratch: Vec::new(),
+            discard_scratch: Vec::new(),
+            refs_scratch: Vec::new(),
         };
         bc.recompute_nursery_limit();
         bc
@@ -236,16 +244,18 @@ impl Bookmarking {
     /// Whether the whole object at `addr` (header included) is resident
     /// according to BC's bit array. Resizing-only instances treat all pages
     /// as resident (their collections fault like any other collector's).
+    #[inline]
     pub(crate) fn object_resident(&self, addr: Address) -> bool {
-        if !self.options.bookmarking {
+        // Nothing evicted (every run without memory pressure): every object
+        // is resident, and its header need not be read to learn its extent.
+        if !self.options.bookmarking || !self.residency.any_evicted() {
             return true;
         }
         if !self.residency.page_resident(addr.page()) {
             return false;
         }
         // Header page is resident: the size can be read without faulting.
-        let w0 = self.core.mem.read_word(addr);
-        let w1 = self.core.mem.read_word(addr.offset(WORD));
+        let (w0, w1) = self.core.mem.read_pair(addr);
         let size = match Header::decode_forwarded(w0, w1) {
             Ok(h) => h.kind.size_bytes(),
             Err(_) => return true, // forwarding stubs are header-only
@@ -431,10 +441,8 @@ impl Bookmarking {
         lo: Address,
         hi: Address,
     ) -> Vec<(Address, Address)> {
-        let h = match Header::decode_forwarded(
-            self.core.mem.read_word(obj),
-            self.core.mem.read_word(obj.offset(WORD)),
-        ) {
+        let (w0, w1) = self.core.mem.read_pair(obj);
+        let h = match Header::decode_forwarded(w0, w1) {
             Ok(h) => h,
             Err(_) => return Vec::new(),
         };
@@ -838,24 +846,16 @@ impl GcHeap for Bookmarking {
     fn read_data(&mut self, ctx: &mut MemCtx<'_>, obj: Handle) {
         let addr = self.core.roots.get(obj);
         self.touch_pumped(ctx, addr, HEADER_BYTES, Access::Read);
-        let size = Header::decode(
-            self.core.mem.read_word(addr),
-            self.core.mem.read_word(addr.offset(WORD)),
-        )
-        .kind
-        .size_bytes();
+        let (w0, w1) = self.core.mem.read_pair(addr);
+        let size = Header::decode(w0, w1).kind.size_bytes();
         self.touch_pumped(ctx, addr, size, Access::Read);
     }
 
     fn write_data(&mut self, ctx: &mut MemCtx<'_>, obj: Handle) {
         let addr = self.core.roots.get(obj);
         self.touch_pumped(ctx, addr, HEADER_BYTES, Access::Read);
-        let size = Header::decode(
-            self.core.mem.read_word(addr),
-            self.core.mem.read_word(addr.offset(WORD)),
-        )
-        .kind
-        .size_bytes();
+        let (w0, w1) = self.core.mem.read_pair(addr);
+        let size = Header::decode(w0, w1).kind.size_bytes();
         self.touch_pumped(
             ctx,
             addr.offset(HEADER_BYTES),

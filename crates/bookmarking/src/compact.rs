@@ -394,12 +394,9 @@ impl Bookmarking {
             self.ms.reset_incoming_bookmarks(sp);
             for cell in self.ms.allocated_cells_iter(sp) {
                 ctx.touch(&mut self.core.mem, cell, WORD, Access::Read);
-                let w0 = self.core.mem.read_word(cell);
-                if Header::is_bookmarked(w0) {
-                    self.core
-                        .mem
-                        .write_word(cell, Header::with_bookmark(w0, false));
-                }
+                self.core.mem.update_word(cell, |w0| {
+                    Header::is_bookmarked(w0).then_some(Header::with_bookmark(w0, false))
+                });
             }
         }
         let bookmarked: Vec<u32> = self.los_incoming.keys().copied().collect();

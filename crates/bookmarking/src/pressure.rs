@@ -2,11 +2,14 @@
 //! notices, empty-page discarding, heap shrinking, bookmarking, and
 //! bookmark clearing.
 
-use heap::{Address, Header, InjectFault, MemCtx, SanitizeError, BYTES_PER_PAGE, WORD};
+use heap::gc::push_refs;
+use heap::object::HEADER_BYTES;
+use heap::{Address, Header, InjectFault, MemCtx, SanitizeError, SimMemory, BYTES_PER_PAGE, WORD};
 use telemetry::EventKind;
 use vmm::{Access, VirtPage, VmEvent};
 
 use crate::collector::{Bookmarking, GcRequest, VictimPolicy};
+use crate::residency::ResidencyMap;
 
 /// Pages discarded per eviction notice (§3.4.3: BC "discards all contiguous
 /// empty pages recorded on the same word in its bit array" — aggressive
@@ -196,29 +199,25 @@ impl Bookmarking {
         // Nursery pointers force a reload (cannot leave a dangling
         // remembered-set source on swap).
         for &cell in &cells {
-            for (_slot, target) in self.readable_refs_raw(ctx, cell) {
-                if self.nursery.region_contains(target) {
-                    ctx.vmm.touch(ctx.pid, page, Access::Read, ctx.clock);
-                    ctx.vmm.discard_events(ctx.pid);
-                    return;
-                }
+            Self::readable_refs_raw(&self.core.mem, ctx, cell, &mut self.refs_scratch);
+            if self.scratch_refs_reach_nursery() {
+                ctx.vmm.touch(ctx.pid, page, Access::Read, ctx.clock);
+                ctx.vmm.discard_events(ctx.pid);
+                return;
             }
         }
         for &cell in &cells {
-            let refs = self.readable_refs_raw(ctx, cell);
-            for (_slot, target) in refs {
-                self.note_bookmark_target(ctx, target);
-            }
+            Self::readable_refs_raw(&self.core.mem, ctx, cell, &mut self.refs_scratch);
+            self.bookmark_scratch_targets(ctx);
         }
         // Conservative bookmarks: headers on still-resident neighbour pages
         // are written normally; headers on this page are edited in the
         // swap-bound image (the handler logically ran pre-unmap).
         for &cell in &cells {
             if cell.page() == page || self.residency.page_resident(cell.page()) {
-                let w0 = self.core.mem.read_word(cell);
                 self.core
                     .mem
-                    .write_word(cell, Header::with_bookmark(w0, true));
+                    .update_word(cell, |w0| Some(Header::with_bookmark(w0, true)));
             }
         }
         let start = page_in_sp * BYTES_PER_PAGE;
@@ -226,8 +225,7 @@ impl Bookmarking {
             .ms
             .reserve_free_cells_in_bytes(sp, start, start + BYTES_PER_PAGE);
         for cell in reserved {
-            self.core.mem.write_word(cell, 0);
-            self.core.mem.write_word(cell.offset(WORD), 0);
+            self.core.mem.write_pair(cell, 0, 0);
         }
         self.core.stats.pages_bookmark_scanned += 1;
         self.core.trace_event(
@@ -242,36 +240,43 @@ impl Bookmarking {
     /// Like `readable_refs`, but reads the slots directly from the backing
     /// store (used for pages whose eviction just completed: the contents
     /// are exactly what the pre-unmap handler would have seen). Charges
-    /// scan costs but performs no residency-dependent touches.
+    /// scan costs but performs no residency-dependent touches. Fills `out`
+    /// (cleared first), like [`heap::gc::Core::scan_refs_into`]; an
+    /// associated function over the fields it reads, so callers can pass
+    /// `self.refs_scratch` without moving it out.
     fn readable_refs_raw(
-        &mut self,
+        mem: &SimMemory,
         ctx: &mut MemCtx<'_>,
         cell: Address,
-    ) -> Vec<(Address, Address)> {
-        let h = match Header::decode_forwarded(
-            self.core.mem.read_word(cell),
-            self.core.mem.read_word(cell.offset(WORD)),
-        ) {
-            Ok(h) => h,
-            Err(_) => return Vec::new(),
+        out: &mut Vec<(Address, Address)>,
+    ) {
+        out.clear();
+        let (w0, w1) = mem.read_pair(cell);
+        let Ok(h) = Header::decode_forwarded(w0, w1) else {
+            return;
         };
         let n = h.kind.num_ref_fields();
         let costs = ctx.vmm.costs();
         let (scan_object, scan_ref) = (costs.scan_object, costs.scan_ref);
         ctx.clock.advance(scan_object + scan_ref * n as u64);
-        if n == 0 {
-            return Vec::new();
+        push_refs(mem, cell.offset(HEADER_BYTES), n, out);
+    }
+
+    /// Whether the last `readable_refs*` fill holds a pointer into the
+    /// nursery.
+    fn scratch_refs_reach_nursery(&self) -> bool {
+        self.refs_scratch
+            .iter()
+            .any(|&(_, target)| self.nursery.region_contains(target))
+    }
+
+    /// Bookmarks the target of every reference of the last
+    /// `readable_refs*` fill.
+    fn bookmark_scratch_targets(&mut self, ctx: &mut MemCtx<'_>) {
+        for i in 0..self.refs_scratch.len() {
+            let (_slot, target) = self.refs_scratch[i];
+            self.note_bookmark_target(ctx, target);
         }
-        let lo = cell.offset(heap::object::HEADER_BYTES);
-        let mut out = Vec::new();
-        for i in 0..n {
-            let slot = lo.offset(i * WORD);
-            let target = Address(self.core.mem.read_word(slot));
-            if !target.is_null() {
-                out.push((slot, target));
-            }
-        }
-        out
     }
 
     /// §3.4.2: a page came back (reload fault, or a touch beat the eviction
@@ -369,7 +374,10 @@ impl Bookmarking {
         max: usize,
         hold_back: usize,
     ) -> usize {
-        let mut pages: Vec<VirtPage> = Vec::new();
+        // Entered on every notice and every 128th traced edge: the
+        // candidate list lives in a reused buffer.
+        let pages = &mut self.discard_scratch;
+        pages.clear();
         // Free superpages first: wholly empty by construction.
         for sp in self.ms.free_sps() {
             for p in self.ms.sp_pages(sp) {
@@ -399,13 +407,14 @@ impl Bookmarking {
                 }
             }
         }
-        if pages.len() <= hold_back {
-            return 0; // only the reserve remains
+        // Zero when at most the reserve remains.
+        let discarded = pages.len().saturating_sub(hold_back).min(max);
+        if discarded > 0 {
+            ctx.vmm
+                .madvise_dontneed(ctx.pid, &pages[..discarded], ctx.clock);
+            self.core.stats.pages_discarded += discarded as u64;
         }
-        pages.truncate((pages.len() - hold_back).min(max));
-        ctx.vmm.madvise_dontneed(ctx.pid, &pages, ctx.clock);
-        self.core.stats.pages_discarded += pages.len() as u64;
-        pages.len()
+        discarded
     }
 
     /// Runs after a pressure-triggered collection: hand freshly emptied
@@ -446,39 +455,56 @@ impl Bookmarking {
     /// slots on *resident* pages after an evicted gap are still scanned:
     /// stores through them need no fault, so they can hold pointers —
     /// including nursery pointers — the earlier evictions never saw.
-    fn readable_refs(&mut self, ctx: &mut MemCtx<'_>, cell: Address) -> Vec<(Address, Address)> {
-        let h = match Header::decode_forwarded(
-            self.core.mem.read_word(cell),
-            self.core.mem.read_word(cell.offset(WORD)),
-        ) {
-            Ok(h) => h,
-            Err(_) => return Vec::new(),
+    ///
+    /// Fills `out` (cleared first); see
+    /// [`readable_refs_raw`](Bookmarking::readable_refs_raw) for the shape.
+    fn readable_refs(
+        mem: &mut SimMemory,
+        residency: &ResidencyMap,
+        ctx: &mut MemCtx<'_>,
+        cell: Address,
+        out: &mut Vec<(Address, Address)>,
+    ) {
+        out.clear();
+        let (w0, w1) = mem.read_pair(cell);
+        let Ok(h) = Header::decode_forwarded(w0, w1) else {
+            return;
         };
         let n = h.kind.num_ref_fields();
         if n == 0 {
-            return Vec::new();
+            return;
         }
-        let lo = cell.offset(heap::object::HEADER_BYTES);
-        let hi = lo.offset(n * WORD);
-        let mut out = Vec::new();
         let costs = ctx.vmm.costs();
         let (scan_object, scan_ref) = (costs.scan_object, costs.scan_ref);
         ctx.clock.advance(scan_object);
-        let mut slot = lo;
-        while slot < hi {
-            if !self.residency.page_resident(slot.page()) {
-                slot = slot.offset(WORD);
-                continue;
+        // One page's run of slots at a time: a residency lookup per page, a
+        // charged touch per slot, then one borrowed read of the run.
+        let mut slot = cell.offset(HEADER_BYTES);
+        let mut left = n;
+        while left > 0 {
+            let run = left.min((BYTES_PER_PAGE - slot.0 % BYTES_PER_PAGE) / WORD);
+            if residency.page_resident(slot.page()) {
+                for i in 0..run {
+                    ctx.touch(mem, slot.offset(i * WORD), WORD, Access::Read);
+                    ctx.clock.advance(scan_ref);
+                }
+                push_refs(mem, slot, run, out);
             }
-            ctx.touch(&mut self.core.mem, slot, WORD, Access::Read);
-            ctx.clock.advance(scan_ref);
-            let target = Address(self.core.mem.read_word(slot));
-            if !target.is_null() {
-                out.push((slot, target));
-            }
-            slot = slot.offset(WORD);
+            slot = slot.offset(run * WORD);
+            left -= run;
         }
-        out
+    }
+
+    /// [`readable_refs`](Bookmarking::readable_refs) of `cell` into
+    /// `self.refs_scratch`.
+    fn readable_refs_of(&mut self, ctx: &mut MemCtx<'_>, cell: Address) {
+        Self::readable_refs(
+            &mut self.core.mem,
+            &self.residency,
+            ctx,
+            cell,
+            &mut self.refs_scratch,
+        );
     }
 
     /// Scans a victim page, bookmarks the targets of its outgoing
@@ -503,13 +529,12 @@ impl Bookmarking {
         // victim-selection extension also counts outgoing pointers here.
         let mut outgoing = 0u32;
         for &cell in &cells {
-            for (_slot, target) in self.readable_refs(ctx, cell) {
-                if self.nursery.region_contains(target) {
-                    ctx.vmm.touch(ctx.pid, page, Access::Read, ctx.clock);
-                    return;
-                }
-                outgoing += 1;
+            self.readable_refs_of(ctx, cell);
+            if self.scratch_refs_reach_nursery() {
+                ctx.vmm.touch(ctx.pid, page, Access::Read, ctx.clock);
+                return;
             }
+            outgoing += self.refs_scratch.len() as u32;
         }
         if let VictimPolicy::PreferPointerFree {
             max_pointers,
@@ -530,10 +555,8 @@ impl Bookmarking {
             // Seeded bug: skip the bookmark pass for this page.
         } else {
             for &cell in &cells {
-                let refs = self.readable_refs(ctx, cell);
-                for (_slot, target) in refs {
-                    self.note_bookmark_target(ctx, target);
-                }
+                self.readable_refs_of(ctx, cell);
+                self.bookmark_scratch_targets(ctx);
             }
         }
         // Conservatively bookmark the page's own objects — their incoming
@@ -562,8 +585,7 @@ impl Bookmarking {
         for cell in reserved {
             if self.residency.page_resident(cell.page()) {
                 ctx.touch(&mut self.core.mem, cell, 2 * WORD, Access::Write);
-                self.core.mem.write_word(cell, 0);
-                self.core.mem.write_word(cell.offset(WORD), 0);
+                self.core.mem.write_pair(cell, 0, 0);
             }
         }
         // Guard the race window, then let the page go (§3.4).
@@ -576,8 +598,9 @@ impl Bookmarking {
     /// Sets or clears the bookmark bit in an object's header (charged).
     pub(crate) fn set_bookmark_bit(&mut self, ctx: &mut MemCtx<'_>, obj: Address, on: bool) {
         ctx.touch(&mut self.core.mem, obj, WORD, Access::Write);
-        let w0 = self.core.mem.read_word(obj);
-        self.core.mem.write_word(obj, Header::with_bookmark(w0, on));
+        self.core
+            .mem
+            .update_word(obj, |w0| Some(Header::with_bookmark(w0, on)));
     }
 
     /// Bookmarks `target` and bumps its superpage's (or large object's)
@@ -637,12 +660,9 @@ impl Bookmarking {
                 continue;
             }
             for cell in self.ms.cells_overlapping_page(sp, page_in_sp) {
-                let h = match Header::decode_forwarded(
-                    self.core.mem.read_word(cell),
-                    self.core.mem.read_word(cell.offset(WORD)),
-                ) {
-                    Ok(h) => h,
-                    Err(_) => continue,
+                let (w0, w1) = self.core.mem.read_pair(cell);
+                let Ok(h) = Header::decode_forwarded(w0, w1) else {
+                    continue;
                 };
                 for i in 0..h.kind.num_ref_fields() {
                     let slot = heap::object::field_addr(cell, i);
@@ -707,8 +727,9 @@ impl Bookmarking {
         }
         let cells = self.ms.cells_overlapping_page(sp, page_in_sp);
         for &cell in &cells {
-            let refs = self.readable_refs(ctx, cell);
-            for (_slot, target) in refs {
+            self.readable_refs_of(ctx, cell);
+            for i in 0..self.refs_scratch.len() {
+                let (_slot, target) = self.refs_scratch[i];
                 if self.ms.region_contains(target) {
                     let tsp = self.ms.sp_of(target);
                     if self.ms.dec_incoming_bookmarks(tsp) == 0 {
@@ -755,11 +776,10 @@ impl Bookmarking {
                 continue;
             }
             ctx.touch(&mut self.core.mem, cell, WORD, Access::Read);
-            let w0 = self.core.mem.read_word(cell);
+            let w0 = self.core.mem.update_word(cell, |w0| {
+                Header::is_bookmarked(w0).then_some(Header::with_bookmark(w0, false))
+            });
             if Header::is_bookmarked(w0) {
-                self.core
-                    .mem
-                    .write_word(cell, Header::with_bookmark(w0, false));
                 self.core.stats.bookmarks_cleared += 1;
             }
         }

@@ -31,6 +31,15 @@ impl<'a> MemCtx<'a> {
 
     /// Touches every page of `[addr, addr+len)`, faulting as needed, and
     /// zero-fills any demand-zero pages in the backing store.
+    ///
+    /// Nearly every access lies within one page: that case is one inlined
+    /// [`Vmm::touch`] whose outcome is returned as is. Ranges that cross a
+    /// page boundary take the outlined span loop.
+    ///
+    /// `always`: under plain `#[inline]` LLVM keeps one local copy per
+    /// codegen unit and *calls* it from most collector entry points, which
+    /// puts a call back between a collector and every word it reads.
+    #[inline(always)]
     pub fn touch(
         &mut self,
         mem: &mut SimMemory,
@@ -41,14 +50,38 @@ impl<'a> MemCtx<'a> {
         debug_assert!(len > 0);
         let first = addr.page().number();
         let last = Address(addr.0 + len - 1).page().number();
+        if first == last {
+            return self.touch_page(mem, first, access);
+        }
+        self.touch_span(mem, first, last, access)
+    }
+
+    /// One charged page touch plus the demand-zero fill it may call for.
+    #[inline(always)]
+    fn touch_page(&mut self, mem: &mut SimMemory, page: u32, access: Access) -> TouchOutcome {
+        let o = self
+            .vmm
+            .touch(self.pid, vmm::VirtPage::new(page), access, self.clock);
+        if o.zero_filled {
+            mem.zero(Address(page * BYTES_PER_PAGE), BYTES_PER_PAGE);
+        }
+        o
+    }
+
+    /// Touches pages `first..=last` in order and ORs the outcomes. The
+    /// range is empty when `last < first`, which is what a zero `len` at a
+    /// page boundary produces in a release build: no page is touched.
+    #[inline(never)]
+    fn touch_span(
+        &mut self,
+        mem: &mut SimMemory,
+        first: u32,
+        last: u32,
+        access: Access,
+    ) -> TouchOutcome {
         let mut combined = TouchOutcome::default();
         for p in first..=last {
-            let o = self
-                .vmm
-                .touch(self.pid, vmm::VirtPage::new(p), access, self.clock);
-            if o.zero_filled {
-                mem.zero(Address(p * BYTES_PER_PAGE), BYTES_PER_PAGE);
-            }
+            let o = self.touch_page(mem, p, access);
             combined.major_fault |= o.major_fault;
             combined.zero_filled |= o.zero_filled;
             combined.protection_fault |= o.protection_fault;
@@ -58,12 +91,14 @@ impl<'a> MemCtx<'a> {
     }
 
     /// Reads the word at `addr`, charging the touch.
+    #[inline]
     pub fn read_word(&mut self, mem: &mut SimMemory, addr: Address) -> u32 {
         self.touch(mem, addr, 4, Access::Read);
         mem.read_word(addr)
     }
 
     /// Writes the word at `addr`, charging the touch.
+    #[inline]
     pub fn write_word(&mut self, mem: &mut SimMemory, addr: Address, value: u32) {
         self.touch(mem, addr, 4, Access::Write);
         mem.write_word(addr, value);
@@ -129,5 +164,62 @@ mod tests {
             assert!(ctx.vmm.is_resident(pid, vmm::VirtPage::new(p)));
         }
         assert!(!ctx.vmm.is_resident(pid, vmm::VirtPage::new(3)));
+    }
+
+    /// One `Vmm::touch` per page of the range, whichever of `touch`'s two
+    /// bodies serves it.
+    #[test]
+    fn touches_per_call_follow_the_pages_of_the_range() {
+        let (mut vmm, mut clock) = ctx_parts();
+        let pid = vmm.register_process();
+        let mut mem = SimMemory::new();
+        let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+        let ram_word = ctx.vmm.costs().ram_word;
+        // (address, length, pages): inside one page, a whole page, the
+        // last word of a page, an eight-byte header straddling two pages,
+        // two bytes either side of a boundary, and three- and five-page
+        // runs.
+        let cases = [
+            (0x1000, 4, 1),
+            (0x1000, 4096, 1),
+            (0x1ffc, 4, 1),
+            (0x1ffc, 8, 2),
+            (0x2fff, 2, 2),
+            (4000, 8192, 3),
+            (0x5000, 4 * 4096 + 1, 5),
+        ];
+        for (addr, len, pages) in cases {
+            // Warm: the second pass takes no faults, so the clock moves by
+            // exactly one RAM access per page too.
+            ctx.touch(&mut mem, Address(addr), len, Access::Write);
+            let (t0, now0) = (ctx.vmm.stats(pid).touches, ctx.clock.now());
+            let o = ctx.touch(&mut mem, Address(addr), len, Access::Read);
+            assert_eq!(
+                ctx.vmm.stats(pid).touches - t0,
+                pages,
+                "touch({addr:#x}, {len})"
+            );
+            assert_eq!(ctx.clock.now() - now0, ram_word * pages);
+            assert_eq!(o, TouchOutcome::default());
+        }
+    }
+
+    /// A zero `len` is a caller bug (`debug_assert`), but release builds
+    /// have always given it a meaning, which the single-page early return
+    /// must not change: `addr + 0 - 1` lies on the previous page exactly
+    /// when `addr` is page-aligned, so the range is empty there and one
+    /// page everywhere else.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn zero_length_touch_keeps_its_release_meaning() {
+        let (mut vmm, mut clock) = ctx_parts();
+        let pid = vmm.register_process();
+        let mut mem = SimMemory::new();
+        let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+        ctx.touch(&mut mem, Address(0x3000), 0, Access::Read);
+        assert_eq!(ctx.vmm.stats(pid).touches, 0);
+        assert!(!ctx.vmm.is_resident(pid, Address(0x3000).page()));
+        ctx.touch(&mut mem, Address(0x3004), 0, Access::Read);
+        assert_eq!(ctx.vmm.stats(pid).touches, 1);
     }
 }

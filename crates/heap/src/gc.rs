@@ -13,7 +13,7 @@ use crate::addr::{Address, BYTES_PER_PAGE, WORD};
 use crate::api::{AllocKind, HeapConfig, NurseryPolicy};
 use crate::ctx::MemCtx;
 use crate::mem::SimMemory;
-use crate::object::{field_addr, Header, ObjectKind, HEADER_BYTES};
+use crate::object::{Header, ObjectKind, HEADER_BYTES};
 use crate::packet::{Acquired, PacketQueue, PACKET_CAP};
 use crate::policy::{HeapSizePolicy, SizingDecision, SizingInput};
 use crate::pool::PagePool;
@@ -92,72 +92,82 @@ impl Core {
     }
 
     /// Reads an object's header (charged).
+    #[inline]
     pub fn header(&mut self, ctx: &mut MemCtx<'_>, obj: Address) -> Header {
         ctx.touch(&mut self.mem, obj, HEADER_BYTES, Access::Read);
-        Header::decode(
-            self.mem.read_word(obj),
-            self.mem.read_word(obj.offset(WORD)),
-        )
+        let (w0, w1) = self.mem.read_pair(obj);
+        Header::decode(w0, w1)
     }
 
     /// Reads a header that may be a forwarding stub (charged).
+    #[inline]
     pub fn header_or_forward(
         &mut self,
         ctx: &mut MemCtx<'_>,
         obj: Address,
     ) -> Result<Header, Address> {
         ctx.touch(&mut self.mem, obj, HEADER_BYTES, Access::Read);
-        Header::decode_forwarded(
-            self.mem.read_word(obj),
-            self.mem.read_word(obj.offset(WORD)),
-        )
+        let (w0, w1) = self.mem.read_pair(obj);
+        Header::decode_forwarded(w0, w1)
     }
 
     /// Writes an object's header (charged).
+    #[inline]
     pub fn write_header(&mut self, ctx: &mut MemCtx<'_>, obj: Address, h: Header) {
         ctx.touch(&mut self.mem, obj, HEADER_BYTES, Access::Write);
         let (w0, w1) = h.encode();
-        self.mem.write_word(obj, w0);
-        self.mem.write_word(obj.offset(WORD), w1);
+        self.mem.write_pair(obj, w0, w1);
     }
 
     /// Atomically tests and sets the mark bit; `true` if newly marked.
+    #[inline]
     pub fn try_mark(&mut self, ctx: &mut MemCtx<'_>, obj: Address) -> bool {
         ctx.touch(&mut self.mem, obj, HEADER_BYTES, Access::Write);
-        let w0 = self.mem.read_word(obj);
-        if Header::is_marked(w0) {
-            false
-        } else {
-            self.mem.write_word(obj, Header::with_mark(w0, true));
-            true
-        }
+        let w0 = self.mem.update_word(obj, |w0| {
+            (!Header::is_marked(w0)).then_some(Header::with_mark(w0, true))
+        });
+        !Header::is_marked(w0)
     }
 
     /// Whether the object is marked (charged header read).
+    #[inline]
     pub fn is_marked(&mut self, ctx: &mut MemCtx<'_>, obj: Address) -> bool {
         ctx.touch(&mut self.mem, obj, HEADER_BYTES, Access::Read);
         Header::is_marked(self.mem.read_word(obj))
     }
 
     /// Clears the mark bit (charged).
+    #[inline]
     pub fn clear_mark(&mut self, ctx: &mut MemCtx<'_>, obj: Address) {
         ctx.touch(&mut self.mem, obj, HEADER_BYTES, Access::Write);
-        let w0 = self.mem.read_word(obj);
-        self.mem.write_word(obj, Header::with_mark(w0, false));
+        self.mem
+            .update_word(obj, |w0| Some(Header::with_mark(w0, false)));
     }
 
     /// Initializes a fresh object: zeroes its cell, writes the header, and
     /// charges allocation cost.
+    #[inline]
     pub fn init_object(&mut self, ctx: &mut MemCtx<'_>, obj: Address, kind: ObjectKind) {
         let size = kind.size_bytes();
         ctx.touch(&mut self.mem, obj, size, Access::Write);
         if self.sanitize_checks() {
             self.san_check_alloc_target(obj, size);
         }
-        self.mem.zero(obj, size);
         let (w0, w1) = Header::new(kind).encode();
-        self.mem.write_word(obj, w0);
-        self.mem.write_word(obj.offset(WORD), w1);
+        let words = (size / WORD) as usize;
+        let cell = self.mem.span_mut(obj, words);
+        if cell.len() == words {
+            // The whole object lies on one page (which its header write
+            // materializes in any case): clear and stamp it in one walk.
+            cell.fill(0);
+            cell[0] = w0;
+            cell[1] = w1;
+        } else {
+            // It crosses a page boundary: `zero` skips the pages nothing
+            // was ever written to instead of materializing them.
+            self.mem.zero(obj, size);
+            self.mem.write_pair(obj, w0, w1);
+        }
         let costs = ctx.vmm.costs();
         let (alloc_object, ram_word) = (costs.alloc_object, costs.ram_word);
         ctx.clock
@@ -181,6 +191,7 @@ impl Core {
     /// charging the scan. Performs no heap allocation once `out` has grown
     /// to the largest ref count seen, and copies no cost table: only the
     /// two cost fields the scan charges are read.
+    #[inline]
     #[zero_alloc]
     pub fn scan_refs_into(
         &mut self,
@@ -198,24 +209,15 @@ impl Core {
             return;
         }
         // One touch for the whole referenced span, then raw reads.
-        ctx.touch(
-            &mut self.mem,
-            obj.offset(HEADER_BYTES),
-            n * WORD,
-            Access::Read,
-        );
+        let first = obj.offset(HEADER_BYTES);
+        ctx.touch(&mut self.mem, first, n * WORD, Access::Read);
         out.reserve(n as usize);
-        for i in 0..n {
-            let slot = field_addr(obj, i);
-            let target = Address(self.mem.read_word(slot));
-            if !target.is_null() {
-                out.push((slot, target));
-            }
-        }
+        push_refs(&self.mem, first, n, out);
     }
 
     /// Copies an object's `size` bytes from `from` to `to` and leaves a
     /// forwarding stub at `from` (charged).
+    #[inline]
     pub fn copy_object(&mut self, ctx: &mut MemCtx<'_>, from: Address, to: Address, size: u32) {
         ctx.touch(&mut self.mem, from, size, Access::Read);
         ctx.touch(&mut self.mem, to, size, Access::Write);
@@ -224,8 +226,7 @@ impl Core {
         }
         self.mem.copy(from, to, size);
         let (w0, w1) = Header::forwarding_stub(to);
-        self.mem.write_word(from, w0);
-        self.mem.write_word(from.offset(WORD), w1);
+        self.mem.write_pair(from, w0, w1);
         let copy_byte = ctx.vmm.costs().copy_byte;
         ctx.clock.advance(copy_byte * size as u64);
         self.stats.objects_moved += 1;
@@ -233,11 +234,13 @@ impl Core {
     }
 
     /// Writes a reference slot (charged raw word write, no barrier).
+    #[inline]
     pub fn write_slot(&mut self, ctx: &mut MemCtx<'_>, slot: Address, val: Address) {
         ctx.write_word(&mut self.mem, slot, val.0);
     }
 
     /// Reads a reference slot (charged).
+    #[inline]
     pub fn read_slot(&mut self, ctx: &mut MemCtx<'_>, slot: Address) -> Address {
         Address(ctx.read_word(&mut self.mem, slot))
     }
@@ -409,6 +412,25 @@ impl Core {
             changed |= self.policy_idle(ctx);
         }
         changed
+    }
+}
+
+/// Appends `(slot, target)` for every non-null word of the `n` reference
+/// slots starting at `first` (uncharged: the caller has touched them). One
+/// borrowed run of words per page the slots cover.
+#[inline]
+pub fn push_refs(mem: &SimMemory, first: Address, n: u32, out: &mut Vec<(Address, Address)>) {
+    let mut slot = first;
+    let mut left = n as usize;
+    while left > 0 {
+        let run = mem.span(slot, left);
+        for &w in run {
+            if w != 0 {
+                out.push((slot, Address(w)));
+            }
+            slot = slot.offset(WORD);
+        }
+        left -= run.len();
     }
 }
 
@@ -601,6 +623,7 @@ pub fn is_large(kind: AllocKind) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::field_addr;
     use simtime::{Clock, CostModel};
     use vmm::{Vmm, VmmConfig};
 

@@ -7,8 +7,19 @@
 //!
 //! `SimMemory` performs **no cost accounting**: it is raw storage. All
 //! charged access goes through [`MemCtx`](crate::MemCtx).
+//!
+//! Two API levels. [`read_word`](SimMemory::read_word) and
+//! [`write_word`](SimMemory::write_word) are the general word-at-a-time
+//! interface — and the reference the rest is tested against. The
+//! page-granular accessors ([`span`](SimMemory::span),
+//! [`span_mut`](SimMemory::span_mut), [`read_pair`](SimMemory::read_pair),
+//! [`write_pair`](SimMemory::write_pair),
+//! [`update_word`](SimMemory::update_word)) walk the two-level directory
+//! **once per page** and hand back the page's words, which is what the
+//! object primitives in [`crate::gc`] are built on (DESIGN.md §10.2). Both
+//! levels materialize exactly the same pages: reads never do, writes do.
 
-use crate::addr::{Address, BYTES_PER_PAGE};
+use crate::addr::{Address, BYTES_PER_PAGE, WORD};
 
 const PAGE: usize = BYTES_PER_PAGE as usize;
 
@@ -20,7 +31,14 @@ const PAGE: usize = BYTES_PER_PAGE as usize;
 /// multiplies ruinously in thousand-tenant fleet runs.
 const DIR_CHUNK: usize = 1024;
 
-type PageBox = Option<Box<[u32; PAGE / 4]>>;
+/// Words per page.
+const PAGE_WORDS: usize = PAGE / 4;
+
+type PageBox = Option<Box<[u32; PAGE_WORDS]>>;
+
+/// What every never-materialized page reads as: [`SimMemory::span`] lends
+/// this instead of materializing, so a read costs no host memory.
+static ZERO_PAGE: [u32; PAGE_WORDS] = [0; PAGE_WORDS];
 
 /// A sparse, page-granular byte store over the 32-bit simulated space,
 /// organised as a two-level directory of lazily materialized pages.
@@ -44,7 +62,8 @@ impl SimMemory {
     }
 
     /// The materialized page at `idx`, or `None` (reads as zero).
-    fn page(&self, idx: usize) -> Option<&[u32; PAGE / 4]> {
+    #[inline]
+    fn page(&self, idx: usize) -> Option<&[u32; PAGE_WORDS]> {
         self.dirs
             .get(idx / DIR_CHUNK)?
             .as_ref()?
@@ -52,16 +71,23 @@ impl SimMemory {
             .as_deref()
     }
 
-    /// The materialized page at `idx` for writing, without materializing.
-    fn page_opt_mut(&mut self, idx: usize) -> Option<&mut [u32; PAGE / 4]> {
+    /// The slot holding page `idx`, if its directory chunk exists.
+    #[inline]
+    fn slot_opt_mut(&mut self, idx: usize) -> Option<&mut PageBox> {
         self.dirs
             .get_mut(idx / DIR_CHUNK)?
             .as_mut()?
-            .get_mut(idx % DIR_CHUNK)?
-            .as_deref_mut()
+            .get_mut(idx % DIR_CHUNK)
+    }
+
+    /// The materialized page at `idx` for writing, without materializing.
+    #[inline]
+    fn page_opt_mut(&mut self, idx: usize) -> Option<&mut [u32; PAGE_WORDS]> {
+        self.slot_opt_mut(idx)?.as_deref_mut()
     }
 
     /// The slot holding page `idx`, materializing its directory chunk.
+    #[cold]
     fn slot_mut(&mut self, idx: usize) -> &mut PageBox {
         let (c, o) = (idx / DIR_CHUNK, idx % DIR_CHUNK);
         if c >= self.dirs.len() {
@@ -70,9 +96,108 @@ impl SimMemory {
         &mut self.dirs[c].get_or_insert_with(|| Box::new([const { None }; DIR_CHUNK]))[o]
     }
 
-    fn page_mut(&mut self, idx: usize) -> &mut [u32; PAGE / 4] {
+    /// Page `idx` for writing, materialized on first use. The common case —
+    /// the page exists — is the same single walk a read takes; only a
+    /// first write goes through [`slot_mut`](SimMemory::slot_mut).
+    #[inline]
+    fn page_mut(&mut self, idx: usize) -> &mut [u32; PAGE_WORDS] {
+        // Looked up twice because returning the `Some` borrow directly
+        // would pin `self` across the materializing arm; the second lookup
+        // repeats loads the first just made.
+        if self.page(idx).is_some() {
+            return self.page_opt_mut(idx).expect("present above");
+        }
         self.slot_mut(idx)
-            .get_or_insert_with(|| Box::new([0; PAGE / 4]))
+            .get_or_insert_with(|| Box::new([0; PAGE_WORDS]))
+    }
+
+    /// The page index and in-page word offset of a word-aligned address.
+    #[inline]
+    fn locate(addr: Address) -> (usize, usize) {
+        let a = addr.0 as usize;
+        (a / PAGE, (a % PAGE) / 4)
+    }
+
+    /// Borrows up to `words` words starting at `addr`, clipped at the end
+    /// of `addr`'s page (so the slice is at least one word long for
+    /// `words > 0`, and callers walking a longer range advance by its
+    /// length). One directory walk; a never-materialized page lends zeroes
+    /// without being materialized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not word-aligned.
+    #[inline]
+    pub fn span(&self, addr: Address, words: usize) -> &[u32] {
+        assert!(addr.is_word_aligned(), "unaligned read at {addr}");
+        let (idx, off) = Self::locate(addr);
+        let end = (off + words).min(PAGE_WORDS);
+        &self.page(idx).unwrap_or(&ZERO_PAGE)[off..end]
+    }
+
+    /// Mutably borrows up to `words` words starting at `addr`, clipped at
+    /// the end of `addr`'s page, materializing the page (as any write
+    /// does). One directory walk when the page already exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not word-aligned.
+    #[inline]
+    pub fn span_mut(&mut self, addr: Address, words: usize) -> &mut [u32] {
+        assert!(addr.is_word_aligned(), "unaligned write at {addr}");
+        let (idx, off) = Self::locate(addr);
+        let end = (off + words).min(PAGE_WORDS);
+        &mut self.page_mut(idx)[off..end]
+    }
+
+    /// Reads the words at `addr` and `addr + 4` (an object header) with one
+    /// walk unless the pair straddles a page boundary.
+    #[inline]
+    pub fn read_pair(&self, addr: Address) -> (u32, u32) {
+        match *self.span(addr, 2) {
+            [w0, w1] => (w0, w1),
+            [w0] => (w0, self.read_word(addr.offset(WORD))),
+            _ => unreachable!("span of two words is one or two long"),
+        }
+    }
+
+    /// Writes the words at `addr` and `addr + 4` with one walk unless the
+    /// pair straddles a page boundary.
+    #[inline]
+    pub fn write_pair(&mut self, addr: Address, w0: u32, w1: u32) {
+        match self.span_mut(addr, 2) {
+            [a, b] => (*a, *b) = (w0, w1),
+            [a] => {
+                *a = w0;
+                self.write_word(addr.offset(WORD), w1);
+            }
+            _ => unreachable!("span of two words is one or two long"),
+        }
+    }
+
+    /// Read-modify-write of the word at `addr` with one walk: `f` sees the
+    /// current word and returns its replacement, or `None` to leave the
+    /// word — and a never-materialized page — as it is. Returns the word
+    /// `f` saw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not word-aligned.
+    #[inline]
+    pub fn update_word(&mut self, addr: Address, f: impl FnOnce(u32) -> Option<u32>) -> u32 {
+        assert!(addr.is_word_aligned(), "unaligned write at {addr}");
+        let (idx, off) = Self::locate(addr);
+        if let Some(p) = self.page_opt_mut(idx) {
+            let old = p[off];
+            if let Some(new) = f(old) {
+                p[off] = new;
+            }
+            return old;
+        }
+        if let Some(new) = f(0) {
+            self.page_mut(idx)[off] = new;
+        }
+        0
     }
 
     /// Reads the word at `addr`.
@@ -80,11 +205,12 @@ impl SimMemory {
     /// # Panics
     ///
     /// Panics if `addr` is not word-aligned.
+    #[inline]
     pub fn read_word(&self, addr: Address) -> u32 {
         assert!(addr.is_word_aligned(), "unaligned read at {addr}");
-        let idx = (addr.0 as usize) / PAGE;
+        let (idx, off) = Self::locate(addr);
         match self.page(idx) {
-            Some(p) => p[(addr.0 as usize % PAGE) / 4],
+            Some(p) => p[off],
             None => 0,
         }
     }
@@ -94,10 +220,11 @@ impl SimMemory {
     /// # Panics
     ///
     /// Panics if `addr` is not word-aligned.
+    #[inline]
     pub fn write_word(&mut self, addr: Address, value: u32) {
         assert!(addr.is_word_aligned(), "unaligned write at {addr}");
-        let idx = (addr.0 as usize) / PAGE;
-        self.page_mut(idx)[(addr.0 as usize % PAGE) / 4] = value;
+        let (idx, off) = Self::locate(addr);
+        self.page_mut(idx)[off] = value;
     }
 
     /// Zeroes `[addr, addr + bytes)` (word-aligned on both ends).
@@ -112,7 +239,7 @@ impl SimMemory {
         while a < end {
             let idx = (a / BYTES_PER_PAGE as u64) as usize;
             let off = (a % BYTES_PER_PAGE as u64) as usize / 4;
-            let run = (((end - a) / 4) as usize).min(PAGE / 4 - off);
+            let run = (((end - a) / 4) as usize).min(PAGE_WORDS - off);
             if let Some(p) = self.page_opt_mut(idx) {
                 p[off..off + run].fill(0);
             }
@@ -142,23 +269,21 @@ impl SimMemory {
             let d_idx = (d / BYTES_PER_PAGE as u64) as usize;
             let d_off = (d % BYTES_PER_PAGE as u64) as usize / 4;
             let run = (((total - done) / 4) as usize)
-                .min(PAGE / 4 - s_off)
-                .min(PAGE / 4 - d_off);
-            let src_present = self.page(s_idx).is_some();
-            if !src_present {
-                // Source reads as zero; only clear a materialized target.
-                if let Some(p) = self.page_opt_mut(d_idx) {
-                    p[d_off..d_off + run].fill(0);
+                .min(PAGE_WORDS - s_off)
+                .min(PAGE_WORDS - d_off);
+            if s_idx == d_idx {
+                // An absent page is all zeroes on both sides already.
+                if let Some(p) = self.page_opt_mut(s_idx) {
+                    p.copy_within(s_off..s_off + run, d_off);
                 }
-            } else if s_idx == d_idx {
-                let p = self.page_opt_mut(s_idx).expect("present above");
-                p.copy_within(s_off..s_off + run, d_off);
-            } else {
+            } else if let Some(sp) = self.slot_opt_mut(s_idx).and_then(Option::take) {
                 // Detach the source page so the destination can be borrowed
                 // (and lazily materialized) at the same time.
-                let sp = self.slot_mut(s_idx).take().expect("present above");
                 self.page_mut(d_idx)[d_off..d_off + run].copy_from_slice(&sp[s_off..s_off + run]);
-                *self.slot_mut(s_idx) = Some(sp);
+                *self.slot_opt_mut(s_idx).expect("slot taken from above") = Some(sp);
+            } else if let Some(p) = self.page_opt_mut(d_idx) {
+                // Source reads as zero; only clear a materialized target.
+                p[d_off..d_off + run].fill(0);
             }
             done += (run * 4) as u64;
         }

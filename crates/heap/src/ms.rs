@@ -537,9 +537,10 @@ impl MsSpace {
             .collect()
     }
 
-    /// Indices of all free (unassigned, still mapped) superpages.
-    pub fn free_sps(&self) -> Vec<SpIndex> {
-        self.free_sps.iter().map(|&i| SpIndex(i)).collect()
+    /// Indices of all free (unassigned, still mapped) superpages, in
+    /// free-list order.
+    pub fn free_sps(&self) -> impl Iterator<Item = SpIndex> + '_ {
+        self.free_sps.iter().map(|&i| SpIndex(i))
     }
 
     /// Superpages carved from the region so far.
@@ -851,7 +852,7 @@ mod tests {
         let pages = ms.free_cell(&mut pool, b).expect("superpage now empty");
         assert_eq!(pages.len(), 4);
         assert_eq!(pool.used(), 0);
-        assert_eq!(ms.free_sps().len(), 1);
+        assert_eq!(ms.free_sps().count(), 1);
         // The free superpage is reused for a different class.
         let tiny = ms.classes().class_for(8).unwrap().index;
         let c = ms.alloc(&mut pool, tiny, BlockKind::Scalar).unwrap();

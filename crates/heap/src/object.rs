@@ -77,6 +77,7 @@ impl ObjectKind {
     }
 
     /// Total object size in bytes, header included, word-aligned.
+    #[inline]
     pub fn size_bytes(&self) -> u32 {
         match *self {
             ObjectKind::Scalar { size_words, .. } => size_words as u32 * WORD,
@@ -85,6 +86,7 @@ impl ObjectKind {
     }
 
     /// Number of reference fields.
+    #[inline]
     pub fn num_ref_fields(&self) -> u32 {
         match *self {
             ObjectKind::Scalar { num_refs, .. } => num_refs as u32,
@@ -113,6 +115,7 @@ pub struct Header {
 
 impl Header {
     /// A fresh header for a newly allocated object.
+    #[inline]
     pub fn new(kind: ObjectKind) -> Header {
         Header {
             mark: false,
@@ -122,6 +125,7 @@ impl Header {
     }
 
     /// Encodes to the two header words.
+    #[inline]
     pub fn encode(&self) -> (u32, u32) {
         let mut w0 = 0;
         if self.mark {
@@ -152,6 +156,7 @@ impl Header {
     ///
     /// Panics if the header is a forwarding stub (see
     /// [`decode_forwarded`](Header::decode_forwarded)).
+    #[inline]
     pub fn decode(w0: u32, w1: u32) -> Header {
         assert_eq!(w0 & FORWARDED_BIT, 0, "decoding a forwarding stub");
         let kind = if w0 & ARRAY_BIT != 0 {
@@ -175,6 +180,7 @@ impl Header {
     /// Decodes a header that may be a forwarding stub left by a copying
     /// collection: `Ok(header)` for ordinary objects, `Err(new_address)`
     /// when the object has been forwarded.
+    #[inline]
     pub fn decode_forwarded(w0: u32, w1: u32) -> Result<Header, Address> {
         if w0 & FORWARDED_BIT != 0 {
             Err(Address(w1))
@@ -185,21 +191,25 @@ impl Header {
 
     /// The header words of a forwarding stub pointing at `to` (written into
     /// the *old* copy of a moved object).
+    #[inline]
     pub fn forwarding_stub(to: Address) -> (u32, u32) {
         (FORWARDED_BIT, to.0)
     }
 
     /// Tests the mark bit directly on an encoded status word.
+    #[inline]
     pub fn is_marked(w0: u32) -> bool {
         w0 & MARK_BIT != 0
     }
 
     /// Tests the bookmark bit directly on an encoded status word.
+    #[inline]
     pub fn is_bookmarked(w0: u32) -> bool {
         w0 & BOOKMARK_BIT != 0
     }
 
     /// Sets or clears the mark bit on an encoded status word.
+    #[inline]
     pub fn with_mark(w0: u32, mark: bool) -> u32 {
         if mark {
             w0 | MARK_BIT
@@ -209,6 +219,7 @@ impl Header {
     }
 
     /// Sets or clears the bookmark bit on an encoded status word.
+    #[inline]
     pub fn with_bookmark(w0: u32, bookmark: bool) -> u32 {
         if bookmark {
             w0 | BOOKMARK_BIT
@@ -222,6 +233,7 @@ impl Header {
 ///
 /// Valid for `i < kind.num_ref_fields()`; scalar reference fields and array
 /// elements both start right after the header.
+#[inline]
 pub fn field_addr(obj: Address, i: u32) -> Address {
     obj.offset(HEADER_BYTES + i * WORD)
 }

@@ -188,6 +188,14 @@ impl PageInfo {
         self.state == PageState::Resident
     }
 
+    /// Whether a touch needs no fault, trap, or list move: the invariant
+    /// [`Vmm::touch`](crate::Vmm::touch)'s inlined fast path tests and its
+    /// last-touched cache certifies.
+    #[inline]
+    pub(crate) fn fast_touchable(&self) -> bool {
+        self.is_resident() && !self.protected && self.list == ListTag::Active
+    }
+
     /// Whether the reclaim scan may evict this page right now.
     pub(crate) fn evictable(&self) -> bool {
         self.is_resident() && !self.locked

@@ -81,6 +81,7 @@ impl PageTable {
             .map(|c| &c[idx % PT_CHUNK])
     }
 
+    #[inline]
     fn get_mut(&mut self, idx: usize) -> Option<&mut PageInfo> {
         self.chunks
             .get_mut(idx / PT_CHUNK)?
@@ -685,9 +686,11 @@ impl Vmm {
     /// The touch sets the referenced bit and, for writes, the dirty bit, and
     /// promotes inactive pages to the active list.
     /// The overwhelmingly common case — the page is resident, unprotected,
-    /// and already on the active list — is a single page-info lookup, one
-    /// clock advance, and an early return; every other case takes the
-    /// outlined [`touch_slow`](Vmm::touch_slow) path.
+    /// and already on the active list — is a single non-materialising
+    /// page-info lookup, one clock advance, and an early return, inlined
+    /// into the caller; every other case takes the outlined
+    /// [`touch_slow`](Vmm::touch_slow) path.
+    #[inline]
     #[zero_alloc::zero_alloc]
     pub fn touch(
         &mut self,
@@ -699,39 +702,27 @@ impl Vmm {
         let ram_word = self.costs.ram_word;
         let proc = &mut self.processes[pid.index()];
         proc.stats.touches += 1;
-        // Consecutive touches to the same page: the cache certifies the
-        // fast-path invariant, so skip even the state checks. The cached
-        // page always has `pending_eviction`/`relinquished` clear (both
-        // setters move the page to the inactive list and drop the cache).
-        if proc.last_touched == page.number() {
-            let info = proc.pages.entry(page.index());
+        if let Some(info) = proc.pages.get_mut(page.index()) {
+            // Consecutive touches to the same page: the cache certifies the
+            // fast-path invariant, so skip the state checks. The cached
+            // page always has `pending_eviction`/`relinquished` clear (both
+            // setters move the page to the inactive list and drop the cache).
+            let cached = proc.last_touched == page.number();
             debug_assert!(
-                info.state == PageState::Resident
-                    && !info.protected
-                    && info.list == ListTag::Active,
+                !cached || info.fast_touchable(),
                 "stale touch cache for {page}"
             );
-            info.referenced = true;
-            if access == Access::Write {
-                info.dirty = true;
-            }
-            clock.advance(ram_word);
-            return TouchOutcome {
-                events_queued: !proc.events.is_empty(),
-                ..TouchOutcome::default()
-            };
-        }
-        if let Some(info) = proc.pages.get_mut(page.index()) {
-            if info.state == PageState::Resident && !info.protected && info.list == ListTag::Active
-            {
+            if cached || info.fast_touchable() {
                 info.referenced = true;
                 if access == Access::Write {
                     info.dirty = true;
                 }
-                // A touch rescues a page from any scheduled eviction.
-                info.pending_eviction = false;
-                info.relinquished = false;
-                proc.last_touched = page.number();
+                if !cached {
+                    // A touch rescues a page from any scheduled eviction.
+                    info.pending_eviction = false;
+                    info.relinquished = false;
+                    proc.last_touched = page.number();
+                }
                 clock.advance(ram_word);
                 return TouchOutcome {
                     events_queued: !proc.events.is_empty(),
@@ -743,8 +734,8 @@ impl Vmm {
     }
 
     /// The uncommon touch cases: faults (demand-zero, major), protection
-    /// traps, and list promotion. Outlined so the fast path above stays
-    /// small enough to inline.
+    /// traps, and list promotion. Outlined so the `#[inline]` fast path
+    /// above carries one call instruction for all of them.
     #[cold]
     #[inline(never)]
     fn touch_slow(

@@ -8,7 +8,7 @@
 //! but the compiler and clippy cannot express. It is a hand-rolled text
 //! scanner (the workspace deliberately carries no proc-macro-parsing
 //! dependency); comments and string literals are stripped before matching,
-//! so doc text never trips a rule. Four rule families:
+//! so doc text never trips a rule. Five rule families:
 //!
 //! 1. **zero-alloc bodies** — every function marked `#[zero_alloc]` must
 //!    contain no allocation-capable call (`Vec::new`, `format!`,
@@ -23,11 +23,17 @@
 //!    the vendored dev shims are exempt.
 //! 3. **`#[cold]` registry** — the designated slow-path outlines
 //!    (`Vmm::touch_slow`, `BumpSpace::grow_and_alloc`, `Tracer::record`)
-//!    must keep their `#[cold]` attribute so the hot paths stay small
-//!    enough to inline.
+//!    must keep their `#[cold]` attribute so the hot paths that call them
+//!    stay small.
 //! 4. **dead API tokens** — removed APIs must not creep back in; the one
 //!    registered token today is the deleted `Vmm::take_events` mailbox
 //!    drain (replaced by `drain_events_into`).
+//! 5. **`#[inline]` registry** — the charged-access path (`Vmm::touch`,
+//!    `MemCtx::touch`, the `SimMemory` accessors, the `Core` object
+//!    primitives) crosses three crates and neither release profile has
+//!    LTO, so each link must keep `#[inline]` or every simulated word
+//!    access becomes an out-of-line cross-crate call again (DESIGN.md
+//!    §10.2).
 
 use std::path::{Path, PathBuf};
 
@@ -107,6 +113,31 @@ const REQUIRED_COLD: &[(&str, &str)] = &[
     ("crates/heap/src/bump.rs", "grow_and_alloc"),
     ("crates/heap/src/packet.rs", "fresh_packet"),
     ("crates/telemetry/src/tracer.rs", "record"),
+];
+
+/// The charged-access path, which must keep `#[inline]` link by link: with
+/// no LTO the attribute is the only thing that lets `collectors` reach a
+/// page's words without a call (file suffix, fn name).
+const REQUIRED_INLINE: &[(&str, &str)] = &[
+    ("crates/vmm/src/vmm.rs", "touch"),
+    ("crates/heap/src/ctx.rs", "touch"),
+    ("crates/heap/src/mem.rs", "read_word"),
+    ("crates/heap/src/mem.rs", "write_word"),
+    ("crates/heap/src/mem.rs", "span"),
+    ("crates/heap/src/mem.rs", "span_mut"),
+    ("crates/heap/src/mem.rs", "read_pair"),
+    ("crates/heap/src/mem.rs", "write_pair"),
+    ("crates/heap/src/mem.rs", "update_word"),
+    ("crates/heap/src/gc.rs", "header"),
+    ("crates/heap/src/gc.rs", "header_or_forward"),
+    ("crates/heap/src/gc.rs", "write_header"),
+    ("crates/heap/src/gc.rs", "try_mark"),
+    ("crates/heap/src/gc.rs", "is_marked"),
+    ("crates/heap/src/gc.rs", "clear_mark"),
+    ("crates/heap/src/gc.rs", "scan_refs_into"),
+    ("crates/heap/src/gc.rs", "push_refs"),
+    ("crates/heap/src/gc.rs", "init_object"),
+    ("crates/heap/src/gc.rs", "copy_object"),
 ];
 
 /// Removed-API tokens that must not reappear (token, replacement hint).
@@ -293,9 +324,37 @@ fn check_tokens(
     }
 }
 
-/// Checks that `fn name` in this file carries `#[cold]` among the
-/// attribute lines directly above it.
-fn check_cold(file: &str, stripped: &[String], name: &str, out: &mut Vec<Violation>) {
+/// One attribute registry: which attribute spellings satisfy it, the rule
+/// name violations carry, and why the attribute matters.
+struct AttrRule {
+    attrs: &'static [&'static str],
+    rule: &'static str,
+    why: &'static str,
+}
+
+const COLD_RULE: AttrRule = AttrRule {
+    attrs: &["#[cold]"],
+    rule: "cold-registry",
+    why: "is a registered slow-path outline and must keep #[cold] (see DESIGN.md §10)",
+};
+
+const INLINE_RULE: AttrRule = AttrRule {
+    attrs: &["#[inline]", "#[inline(always)]"],
+    rule: "inline-registry",
+    why: "is on the charged-access path and must keep #[inline]: there is no LTO to \
+          fall back on (see DESIGN.md §10.2)",
+};
+
+/// Checks that `fn name` in this file carries one of `rule.attrs` among
+/// the attribute lines directly above it (other attributes and doc lines
+/// may sit in between, in any order).
+fn check_attr(
+    file: &str,
+    stripped: &[String],
+    name: &str,
+    rule: &AttrRule,
+    out: &mut Vec<Violation>,
+) {
     let needle = format!("fn {name}(");
     for (n, line) in stripped.iter().enumerate() {
         if !line.contains(&needle) || fn_name(line) != Some(name) {
@@ -306,7 +365,7 @@ fn check_cold(file: &str, stripped: &[String], name: &str, out: &mut Vec<Violati
         while k > 0 {
             k -= 1;
             let above = stripped[k].trim();
-            if above == "#[cold]" {
+            if rule.attrs.contains(&above) {
                 found = true;
                 break;
             }
@@ -319,11 +378,8 @@ fn check_cold(file: &str, stripped: &[String], name: &str, out: &mut Vec<Violati
             out.push(Violation {
                 file: file.to_string(),
                 line: n + 1,
-                rule: "cold-registry",
-                message: format!(
-                    "`{name}` is a registered slow-path outline and must keep #[cold] \
-                     (see DESIGN.md §10)"
-                ),
+                rule: rule.rule,
+                message: format!("`{name}` {}", rule.why),
             });
         }
         return;
@@ -331,9 +387,9 @@ fn check_cold(file: &str, stripped: &[String], name: &str, out: &mut Vec<Violati
     out.push(Violation {
         file: file.to_string(),
         line: 0,
-        rule: "cold-registry",
+        rule: rule.rule,
         message: format!(
-            "registered #[cold] fn `{name}` not found; update the registry in \
+            "registered fn `{name}` not found; update the registry in \
              crates/xtask/src/main.rs if it moved"
         ),
     });
@@ -401,15 +457,19 @@ fn lint_workspace(root: &Path) -> Vec<Violation> {
         for name in check_zero_alloc(&rel, &stripped, &mut out) {
             marked.push((rel.clone(), name));
         }
-        if !in_crate(&rel, DETERMINISM_EXEMPT) {
+        // `benchmark/` (gcbench) is a host-clock harness like `bench`, in a
+        // package of its own outside `crates/`.
+        if !in_crate(&rel, DETERMINISM_EXEMPT) && !rel.starts_with("benchmark/") {
             check_tokens(&rel, &stripped, &determinism, "determinism", &mut out);
         }
         if !in_crate(&rel, &["criterion", "rand", "proptest", "zero_alloc"]) {
             check_tokens(&rel, &stripped, &dead, "dead-api", &mut out);
         }
-        for (suffix, name) in REQUIRED_COLD {
-            if rel.ends_with(suffix) {
-                check_cold(&rel, &stripped, name, &mut out);
+        for (registry, rule) in [(REQUIRED_COLD, &COLD_RULE), (REQUIRED_INLINE, &INLINE_RULE)] {
+            for (suffix, name) in registry {
+                if rel.ends_with(suffix) {
+                    check_attr(&rel, &stripped, name, rule, &mut out);
+                }
             }
         }
     }
@@ -539,11 +599,59 @@ mod tests {
         let cold = "#[cold]\n#[inline(never)]\nfn touch_slow(&mut self) {}\n";
         let hot = "#[inline(never)]\nfn touch_slow(&mut self) {}\n";
         let mut out = Vec::new();
-        check_cold("v.rs", &strip_source(cold), "touch_slow", &mut out);
+        check_attr(
+            "v.rs",
+            &strip_source(cold),
+            "touch_slow",
+            &COLD_RULE,
+            &mut out,
+        );
         assert!(out.is_empty(), "{out:?}");
-        check_cold("v.rs", &strip_source(hot), "touch_slow", &mut out);
+        check_attr(
+            "v.rs",
+            &strip_source(hot),
+            "touch_slow",
+            &COLD_RULE,
+            &mut out,
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "cold-registry");
+    }
+
+    #[test]
+    fn missing_inline_attribute_is_flagged() {
+        // Doc line, then both attributes in either order: each scanner sees
+        // its own attribute past the other one.
+        let both = "/// Hot.\n#[inline]\n#[zero_alloc]\npub fn touch(&mut self) {}\n";
+        let swapped = "#[zero_alloc::zero_alloc]\n#[inline]\npub fn touch(&mut self) {}\n";
+        for src in [both, swapped] {
+            let stripped = strip_source(src);
+            let mut out = Vec::new();
+            check_attr("v.rs", &stripped, "touch", &INLINE_RULE, &mut out);
+            assert!(out.is_empty(), "{out:?}");
+            assert_eq!(check_zero_alloc("v.rs", &stripped, &mut out), ["touch"]);
+        }
+        // Deleting #[inline] fires the rule; #[zero_alloc] is still seen.
+        let bare = "#[zero_alloc]\npub fn touch(&mut self) {}\n";
+        let stripped = strip_source(bare);
+        let mut out = Vec::new();
+        check_attr("v.rs", &stripped, "touch", &INLINE_RULE, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "inline-registry");
+        assert_eq!(out[0].line, 2);
+        assert_eq!(check_zero_alloc("v.rs", &stripped, &mut out), ["touch"]);
+        // `fn touch_slow(` must not satisfy a registry entry for `touch`.
+        let other = "#[inline]\nfn touch_slow(&mut self) {}\n";
+        let mut out = Vec::new();
+        check_attr(
+            "v.rs",
+            &strip_source(other),
+            "touch",
+            &INLINE_RULE,
+            &mut out,
+        );
+        assert_eq!(out.len(), 1);
+        assert!(out[0].message.contains("not found"));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks of the collector mechanisms: allocation,
 //! the write barrier, nursery collection, full collection, BC's
-//! eviction-time bookmark scan, and the charged object primitives every
+//! eviction-time bookmark scan, the charged object primitives every
 //! one of those is made of (`Core::{header, try_mark, scan_refs_into,
-//! init_object}`, DESIGN.md §10.2).
+//! init_object}`, DESIGN.md §10.2), and the two per-event costs of BC's
+//! cooperation path (an idle `discard_reserve`, a residency lookup;
+//! DESIGN.md §10.7).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bookmarking::{BcOptions, Bookmarking};
+use bookmarking::{BcOptions, Bookmarking, ResidencyMap};
 use heap::gc::Core;
 use heap::object::field_addr;
 use heap::{Address, AllocKind, CollectKind, GcHeap, HeapConfig, MemCtx, ObjectKind};
@@ -285,9 +287,107 @@ fn bench_core_primitives(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a collection pays for `discard_reserve` when there is nothing to
+/// discard: BC under memory pressure, its nursery once ~1 500 pages long and
+/// since released and drained of frames. The collector's root set, nursery
+/// and remembered set are empty, so a minor collection is the under-pressure
+/// `discard_reserve` scan plus a constant. One sample is [`CALLS`]
+/// collections (the shim times one call of the routine per sample): divide
+/// by 4 096.
+fn bench_discard_reserve_idle(c: &mut Criterion) {
+    const CALLS: u32 = 4096;
+    let mut group = c.benchmark_group("bc_discard_reserve_idle_x4096");
+    group.sample_size(20);
+    group.bench_function("empty_minor_gc_under_pressure", |b| {
+        let mut vmm = Vmm::new(
+            VmmConfig::builder().memory_bytes(32 << 20).build(),
+            CostModel::default(),
+        );
+        let mut clock = Clock::new();
+        let pid = vmm.register_process();
+        let hog = vmm.register_process();
+        let mut bc = Bookmarking::new(
+            HeapConfig::builder().heap_bytes(12 << 20).build(),
+            BcOptions::default(),
+        );
+        bc.register(&mut vmm, pid);
+        // Garbage up to the nursery limit: the high-water mark.
+        let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+        while bc.stats().nursery_gcs == 0 {
+            let h = bc
+                .alloc(&mut ctx, AllocKind::DataArray { len: 250 })
+                .unwrap();
+            bc.drop_handle(h);
+        }
+        bc.collect(&mut ctx, CollectKind::Full);
+        // Signalmem: pin until free memory stays below the reclaim
+        // watermark however many empty pages BC gives back.
+        let low = vmm.config().low_watermark;
+        let mut pinned = 0;
+        for _ in 0..4_000 {
+            while vmm.free_frames() >= low {
+                vmm.mlock(hog, vmm::VirtPage::new(pinned), &mut clock);
+                pinned += 1;
+            }
+            vmm.pump(&mut clock);
+            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+            bc.handle_vm_events(&mut ctx);
+        }
+        assert!(vmm.free_frames() < low + 64 && bc.stats().pages_discarded > 1_000);
+        b.iter(|| {
+            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+            for _ in 0..CALLS {
+                bc.collect(&mut ctx, CollectKind::Minor);
+            }
+        });
+    });
+    group.finish();
+}
+
+/// BC's residency test (§3.3.1), asked once per traced edge while anything
+/// is evicted: 1 300 evicted pages (what a `bc_pressure` cell relinquishes)
+/// spread over the mature region, every seventh page. One sample is
+/// [`OPS`] lookups: divide by 65 536.
+fn bench_residency_lookup(c: &mut Criterion) {
+    const OPS: u32 = 1 << 16;
+    const EVICTED: u32 = 1300;
+    let first = Address(0x1040_0000).page().number();
+    let mut map = ResidencyMap::new();
+    for i in 0..EVICTED {
+        map.mark_evicted(vmm::VirtPage::new(first + 7 * i));
+    }
+    let mut group = c.benchmark_group("residency_lookup_x65536");
+    group.bench_function("page_evicted", |b| {
+        b.iter(|| {
+            for i in 0..OPS {
+                black_box(map.page_resident(vmm::VirtPage::new(first + 7 * (i % EVICTED))));
+            }
+        });
+    });
+    group.bench_function("page_resident", |b| {
+        b.iter(|| {
+            for i in 0..OPS {
+                black_box(map.page_resident(vmm::VirtPage::new(first + 7 * (i % EVICTED) + 3)));
+            }
+        });
+    });
+    // An object reaching into its third page, none of them evicted.
+    group.bench_function("range_3_pages_resident", |b| {
+        b.iter(|| {
+            for i in 0..OPS {
+                let addr = Address((first + 7 * (i % EVICTED) + 2) * 4096 + 2048);
+                black_box(map.range_resident(addr, 8192));
+            }
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_core_primitives,
+    bench_discard_reserve_idle,
+    bench_residency_lookup,
     bench_alloc,
     bench_write_barrier,
     bench_nursery_gc,

@@ -142,7 +142,16 @@ pub struct Bookmarking {
     /// The heap size the experiment configured (the budget may shrink
     /// below this under pressure, §3.3.3).
     pub(crate) configured_heap_bytes: usize,
-    /// High-water mark of nursery extent, for discardable-page discovery.
+    /// The discard frontier: no nursery page at or above this page number
+    /// holds a frame, so discardable-page discovery stops here. Raised to
+    /// the end of the nursery extent by every successful nursery
+    /// allocation (the only thing that puts frames there); lowered only by
+    /// a `discard_empties_inner` scan of the whole free tail, to just past
+    /// the highest page it found resident and kept.
+    pub(crate) discard_frontier: u32,
+    /// High-water mark of nursery extent — the bound the frontier replaced,
+    /// kept as the reference the frontier is checked against.
+    #[cfg(any(debug_assertions, test))]
     pub(crate) nursery_peak_pages: usize,
     /// Set once a pressure-triggered collection has been requested and not
     /// yet evaluated; throttles repeated requests from one notice burst.
@@ -165,8 +174,11 @@ pub struct Bookmarking {
     /// every eviction notice and every 128th traced edge.
     pub(crate) discard_scratch: Vec<vmm::VirtPage>,
     /// Reusable `(slot, target)` buffer for the eviction-time page scans
-    /// (`readable_refs*`), one fill per cell of the victim page.
+    /// (`readable_refs*`) and the card scan, one fill per cell.
     pub(crate) refs_scratch: Vec<(Address, Address)>,
+    /// Reusable list of the cells on one victim page or dirty card, for
+    /// the scans that change the mature space while they walk it.
+    pub(crate) cells_scratch: Vec<Address>,
 }
 
 impl Bookmarking {
@@ -203,6 +215,8 @@ impl Bookmarking {
             compact_targets: std::collections::HashSet::new(),
             target_alloc: HashMap::new(),
             configured_heap_bytes,
+            discard_frontier: l.nursery.0.page().number(),
+            #[cfg(any(debug_assertions, test))]
             nursery_peak_pages: 0,
             pressure_gc_ran: false,
             pressure_escalate: false,
@@ -212,6 +226,7 @@ impl Bookmarking {
             event_scratch: Vec::new(),
             discard_scratch: Vec::new(),
             refs_scratch: Vec::new(),
+            cells_scratch: Vec::new(),
         };
         bc.recompute_nursery_limit();
         bc
@@ -310,9 +325,21 @@ impl Bookmarking {
         }
         let addr = self.nursery.alloc(&mut self.core.pool, size);
         if addr.is_some() {
-            self.nursery_peak_pages = self.nursery_peak_pages.max(self.nursery.extent_pages());
+            self.raise_discard_frontier();
         }
         addr
+    }
+
+    /// A nursery allocation succeeded: anything up to the end of the extent
+    /// may now be touched, so the discard frontier must cover it.
+    pub(crate) fn raise_discard_frontier(&mut self) {
+        let extent = self.nursery.extent_pages();
+        let end = self.nursery.base().page().number() + extent as u32;
+        self.discard_frontier = self.discard_frontier.max(end);
+        #[cfg(any(debug_assertions, test))]
+        {
+            self.nursery_peak_pages = self.nursery_peak_pages.max(extent);
+        }
     }
 
     /// Copies a nursery survivor into a mature cell (promotion).
@@ -352,32 +379,34 @@ impl Bookmarking {
     }
 
     /// Scans the reference fields of `obj` whose slots fall in
-    /// `[lo, hi)`, returning `(slot, target)` pairs (charged).
+    /// `[lo, hi)`, filling `out` (cleared first) with `(slot, target)`
+    /// pairs (charged).
     pub(crate) fn scan_refs_in_range(
         &mut self,
         ctx: &mut MemCtx<'_>,
         obj: Address,
         lo: Address,
         hi: Address,
-    ) -> Vec<(Address, Address)> {
+        out: &mut Vec<(Address, Address)>,
+    ) {
+        out.clear();
         let h = self.core.header(ctx, obj);
         let n = h.kind.num_ref_fields();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let first_slot = obj.offset(HEADER_BYTES).0;
         let last_slot = first_slot + (n - 1) * WORD;
         let lo = lo.0.max(first_slot);
         let hi = hi.0.min(last_slot + WORD);
         if lo >= hi {
-            return Vec::new();
+            return;
         }
         let costs = ctx.vmm.costs();
         let (scan_object, scan_ref) = (costs.scan_object, costs.scan_ref);
         let count = (hi - lo) / WORD;
         ctx.clock.advance(scan_object + scan_ref * count as u64);
         ctx.touch(&mut self.core.mem, Address(lo), hi - lo, Access::Read);
-        let mut out = Vec::new();
         let mut slot = lo - (lo - first_slot) % WORD;
         while slot < hi {
             let target = Address(self.core.mem.read_word(Address(slot)));
@@ -386,48 +415,64 @@ impl Bookmarking {
             }
             slot += WORD;
         }
-        out
     }
 
     /// Forwards nursery targets reachable from one dirty card.
     fn scan_card(&mut self, ctx: &mut MemCtx<'_>, card_base: Address) {
         let (lo, hi) = CardTable::card_range(card_base);
-        let mut objects: Vec<Address> = Vec::new();
         if self.ms.region_contains(card_base) {
             let sp_extent = self.ms.extent_superpages();
             let sp_of_card =
                 (card_base.0 - self.ms.sp_base(heap::SpIndex(0)).0) / heap::BYTES_PER_SUPERPAGE;
-            if sp_of_card < sp_extent {
-                let sp = heap::SpIndex(sp_of_card);
-                objects = self.ms.cells_overlapping_bytes(
-                    sp,
-                    lo.0 - self.ms.sp_base(sp).0,
-                    hi.0 - self.ms.sp_base(sp).0,
-                );
+            if sp_of_card >= sp_extent {
+                return;
             }
+            let sp = heap::SpIndex(sp_of_card);
+            let sp_base = self.ms.sp_base(sp).0;
+            // Forwarding promotes into the mature space, possibly into this
+            // very superpage: the card's cells are listed before any is
+            // scanned.
+            let mut cells = std::mem::take(&mut self.cells_scratch);
+            cells.clear();
+            cells.extend(
+                self.ms
+                    .cells_overlapping_bytes(sp, lo.0 - sp_base, hi.0 - sp_base),
+            );
+            for &obj in &cells {
+                self.scan_card_object(ctx, obj, lo, hi);
+            }
+            self.cells_scratch = cells;
         } else if self.los.region_contains(card_base) {
             if let Some((obj, _pages)) = self.los.object_containing(card_base) {
-                objects.push(obj);
+                self.scan_card_object(ctx, obj, lo, hi);
             }
         }
-        for obj in objects {
-            let refs = if self.object_resident(obj) {
-                self.scan_refs_in_range(ctx, obj, lo, hi)
-            } else {
-                // A partially evicted object can still hold nursery
-                // pointers in slots on its resident pages (stored after
-                // the other pages left); scan exactly those. Wholly
-                // evicted objects yield nothing — their pages were
-                // rescued at eviction if they held nursery pointers.
-                self.scan_resident_refs_in_range(ctx, obj, lo, hi)
-            };
-            for (slot, target) in refs {
-                if self.nursery.region_contains(target) {
-                    let new = self.forward(ctx, target);
-                    self.core.mem.write_word(slot, new.0);
-                }
+    }
+
+    /// Forwards the nursery targets held in the slots of `obj` that lie in
+    /// `[lo, hi)`.
+    fn scan_card_object(&mut self, ctx: &mut MemCtx<'_>, obj: Address, lo: Address, hi: Address) {
+        // `forward` pumps paging events, whose handlers fill
+        // `refs_scratch` themselves: the buffer is moved out while its
+        // contents are in use.
+        let mut refs = std::mem::take(&mut self.refs_scratch);
+        if self.object_resident(obj) {
+            self.scan_refs_in_range(ctx, obj, lo, hi, &mut refs);
+        } else {
+            // A partially evicted object can still hold nursery
+            // pointers in slots on its resident pages (stored after
+            // the other pages left); scan exactly those. Wholly
+            // evicted objects yield nothing — their pages were
+            // rescued at eviction if they held nursery pointers.
+            self.scan_resident_refs_in_range(ctx, obj, lo, hi, &mut refs);
+        }
+        for &(slot, target) in &refs {
+            if self.nursery.region_contains(target) {
+                let new = self.forward(ctx, target);
+                self.core.mem.write_word(slot, new.0);
             }
         }
+        self.refs_scratch = refs;
     }
 
     /// Like [`scan_refs_in_range`](Bookmarking::scan_refs_in_range), but
@@ -440,27 +485,27 @@ impl Bookmarking {
         obj: Address,
         lo: Address,
         hi: Address,
-    ) -> Vec<(Address, Address)> {
+        out: &mut Vec<(Address, Address)>,
+    ) {
+        out.clear();
         let (w0, w1) = self.core.mem.read_pair(obj);
-        let h = match Header::decode_forwarded(w0, w1) {
-            Ok(h) => h,
-            Err(_) => return Vec::new(),
+        let Ok(h) = Header::decode_forwarded(w0, w1) else {
+            return;
         };
         let n = h.kind.num_ref_fields();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let first_slot = obj.offset(HEADER_BYTES).0;
         let last_slot = first_slot + (n - 1) * WORD;
         let lo = lo.0.max(first_slot);
         let hi = hi.0.min(last_slot + WORD);
         if lo >= hi {
-            return Vec::new();
+            return;
         }
         let costs = ctx.vmm.costs();
         let (scan_object, scan_ref) = (costs.scan_object, costs.scan_ref);
         ctx.clock.advance(scan_object);
-        let mut out = Vec::new();
         let mut slot = lo - (lo - first_slot) % WORD;
         while slot < hi {
             let a = Address(slot);
@@ -474,7 +519,6 @@ impl Bookmarking {
             }
             slot += WORD;
         }
-        out
     }
 
     // ----- sanitizer -----------------------------------------------------

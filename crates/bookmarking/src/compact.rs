@@ -100,7 +100,7 @@ impl Bookmarking {
         }
         let a = self.nursery.alloc(&mut self.core.pool, size);
         if a.is_some() {
-            self.nursery_peak_pages = self.nursery_peak_pages.max(self.nursery.extent_pages());
+            self.raise_discard_frontier();
         }
         a
     }

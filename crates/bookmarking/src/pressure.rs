@@ -195,10 +195,9 @@ impl Bookmarking {
         if sp.0 >= self.ms.extent_superpages() {
             return;
         }
-        let cells = self.ms.cells_overlapping_page(sp, page_in_sp);
         // Nursery pointers force a reload (cannot leave a dangling
         // remembered-set source on swap).
-        for &cell in &cells {
+        for cell in self.ms.cells_overlapping_page(sp, page_in_sp) {
             Self::readable_refs_raw(&self.core.mem, ctx, cell, &mut self.refs_scratch);
             if self.scratch_refs_reach_nursery() {
                 ctx.vmm.touch(ctx.pid, page, Access::Read, ctx.clock);
@@ -206,6 +205,7 @@ impl Bookmarking {
                 return;
             }
         }
+        let cells = self.take_page_cells(sp, page_in_sp);
         for &cell in &cells {
             Self::readable_refs_raw(&self.core.mem, ctx, cell, &mut self.refs_scratch);
             self.bookmark_scratch_targets(ctx);
@@ -227,6 +227,7 @@ impl Bookmarking {
         for cell in reserved {
             self.core.mem.write_pair(cell, 0, 0);
         }
+        self.cells_scratch = cells;
         self.core.stats.pages_bookmark_scanned += 1;
         self.core.trace_event(
             ctx,
@@ -277,6 +278,17 @@ impl Bookmarking {
             let (_slot, target) = self.refs_scratch[i];
             self.note_bookmark_target(ctx, target);
         }
+    }
+
+    /// Lists the allocated cells overlapping one page of a superpage into
+    /// the reusable `cells_scratch`, moved out for the caller — the page
+    /// scans bump bookmark counters in the space they walk, so they cannot
+    /// hold its cell iterator. Hand the buffer back when done.
+    fn take_page_cells(&mut self, sp: heap::SpIndex, page_in_sp: u32) -> Vec<Address> {
+        let mut cells = std::mem::take(&mut self.cells_scratch);
+        cells.clear();
+        cells.extend(self.ms.cells_overlapping_page(sp, page_in_sp));
+        cells
     }
 
     /// §3.4.2: a page came back (reload fault, or a touch beat the eviction
@@ -368,44 +380,51 @@ impl Bookmarking {
         }
     }
 
-    fn discard_empties_inner(
+    /// Discards up to `max` empty resident pages beyond the first
+    /// `hold_back` found, and lowers the discard frontier when the scan of
+    /// the nursery's free tail ran to completion.
+    pub(crate) fn discard_empties_inner(
         &mut self,
         ctx: &mut MemCtx<'_>,
         max: usize,
         hold_back: usize,
     ) -> usize {
+        let limit = max + hold_back;
+        let first_free = Address(self.nursery.top().0)
+            .align_up(BYTES_PER_PAGE)
+            .page()
+            .number();
+        debug_assert!(first_free <= self.discard_frontier);
+        // Where the scan ended before the frontier: the reference bound.
+        #[cfg(any(debug_assertions, test))]
+        let peak_end = self.nursery.base().page().number() + self.nursery_peak_pages as u32;
+        #[cfg(debug_assertions)]
+        {
+            for p in self.discard_frontier..peak_end {
+                assert!(
+                    !ctx.vmm.is_resident(ctx.pid, VirtPage::new(p)),
+                    "nursery page {p} holds a frame above the discard frontier {}",
+                    self.discard_frontier
+                );
+            }
+        }
         // Entered on every notice and every 128th traced edge: the
         // candidate list lives in a reused buffer.
         let pages = &mut self.discard_scratch;
-        pages.clear();
-        // Free superpages first: wholly empty by construction.
-        for sp in self.ms.free_sps() {
-            for p in self.ms.sp_pages(sp) {
-                if ctx.vmm.is_resident(ctx.pid, p) {
-                    pages.push(p);
-                }
-            }
-            if pages.len() >= max + hold_back {
-                break;
-            }
-        }
-        // Then nursery pages beyond the bump pointer, up to the historical
-        // high-water mark.
-        if pages.len() < max + hold_back {
-            let base_page = self.nursery.base().page().number();
-            let first_free = Address(self.nursery.top().0)
-                .align_up(BYTES_PER_PAGE)
-                .page()
-                .number();
-            for p in first_free..base_page + self.nursery_peak_pages as u32 {
-                let page = VirtPage::new(p);
-                if ctx.vmm.is_resident(ctx.pid, page) {
-                    pages.push(page);
-                    if pages.len() >= max + hold_back {
-                        break;
-                    }
-                }
-            }
+        let tail = Self::discardable_pages(
+            &self.ms,
+            ctx,
+            first_free..self.discard_frontier,
+            limit,
+            pages,
+        );
+        #[cfg(test)]
+        {
+            // The reference: the same scan up to the historical high-water
+            // mark, which never comes down.
+            let mut reference = Vec::new();
+            Self::discardable_pages(&self.ms, ctx, first_free..peak_end, limit, &mut reference);
+            assert_eq!(*pages, reference, "frontier scan missed a resident page");
         }
         // Zero when at most the reserve remains.
         let discarded = pages.len().saturating_sub(hold_back).min(max);
@@ -414,7 +433,54 @@ impl Bookmarking {
                 .madvise_dontneed(ctx.pid, &pages[..discarded], ctx.clock);
             self.core.stats.pages_discarded += discarded as u64;
         }
+        if let Some(tail_from) = tail {
+            // Every page of the tail was probed: those above the highest one
+            // still holding a frame need no second look until the nursery
+            // grows back over them.
+            let kept = &pages[discarded.max(tail_from)..];
+            self.discard_frontier = kept.last().map_or(first_free, |p| p.number() + 1);
+        }
         discarded
+    }
+
+    /// Fills `out` (cleared first) with up to roughly `limit` resident
+    /// empty pages: those of free superpages first (wholly empty by
+    /// construction), then nursery pages of `tail`, the stretch beyond the
+    /// bump pointer. Returns the index in `out` where the tail's pages
+    /// begin if every page of `tail` was probed, `None` if the scan
+    /// stopped at `limit` first.
+    fn discardable_pages(
+        ms: &heap::MsSpace,
+        ctx: &MemCtx<'_>,
+        tail: std::ops::Range<u32>,
+        limit: usize,
+        out: &mut Vec<VirtPage>,
+    ) -> Option<usize> {
+        out.clear();
+        for sp in ms.free_sps() {
+            for p in ms.sp_pages(sp) {
+                if ctx.vmm.is_resident(ctx.pid, p) {
+                    out.push(p);
+                }
+            }
+            if out.len() >= limit {
+                break;
+            }
+        }
+        if out.len() >= limit {
+            return None;
+        }
+        let tail_from = out.len();
+        for p in tail {
+            let page = VirtPage::new(p);
+            if ctx.vmm.is_resident(ctx.pid, page) {
+                out.push(page);
+                if out.len() >= limit {
+                    return None;
+                }
+            }
+        }
+        Some(tail_from)
     }
 
     /// Runs after a pressure-triggered collection: hand freshly emptied
@@ -523,13 +589,18 @@ impl Bookmarking {
         if sp.0 >= self.ms.extent_superpages() {
             return;
         }
-        let cells = self.ms.cells_overlapping_page(sp, page_in_sp);
         // Pass 1: a page holding pointers into the nursery will be needed
         // at the very next nursery collection — rescue it instead. The §7
         // victim-selection extension also counts outgoing pointers here.
         let mut outgoing = 0u32;
-        for &cell in &cells {
-            self.readable_refs_of(ctx, cell);
+        for cell in self.ms.cells_overlapping_page(sp, page_in_sp) {
+            Self::readable_refs(
+                &mut self.core.mem,
+                &self.residency,
+                ctx,
+                cell,
+                &mut self.refs_scratch,
+            );
             if self.scratch_refs_reach_nursery() {
                 ctx.vmm.touch(ctx.pid, page, Access::Read, ctx.clock);
                 return;
@@ -550,6 +621,7 @@ impl Bookmarking {
             }
             self.victim_vetoes = 0;
         }
+        let cells = self.take_page_cells(sp, page_in_sp);
         // Pass 2: bookmark every outgoing target (§3.4).
         if self.core.san_take_fault(InjectFault::DropBookmark) {
             // Seeded bug: skip the bookmark pass for this page.
@@ -588,6 +660,7 @@ impl Bookmarking {
                 self.core.mem.write_pair(cell, 0, 0);
             }
         }
+        self.cells_scratch = cells;
         // Guard the race window, then let the page go (§3.4).
         ctx.vmm.mprotect(ctx.pid, &[page], true, ctx.clock);
         ctx.vmm.vm_relinquish(ctx.pid, &[page], ctx.clock);
@@ -725,7 +798,7 @@ impl Bookmarking {
         if sp.0 >= self.ms.extent_superpages() {
             return;
         }
-        let cells = self.ms.cells_overlapping_page(sp, page_in_sp);
+        let cells = self.take_page_cells(sp, page_in_sp);
         for &cell in &cells {
             self.readable_refs_of(ctx, cell);
             for i in 0..self.refs_scratch.len() {
@@ -759,6 +832,7 @@ impl Bookmarking {
                 }
             }
         }
+        self.cells_scratch = cells;
     }
 
     /// Clears every bookmark on a superpage whose incoming counter dropped

@@ -5,10 +5,16 @@
 //! collector uses this bit array to avoid following pointers into pages that
 //! are not resident."
 
-use std::collections::BTreeSet;
-
 use heap::Address;
 use vmm::VirtPage;
+
+/// Pages covered by one lazily allocated chunk of the bit array.
+const CHUNK_PAGES: usize = 1024;
+/// 64-page words per chunk.
+const CHUNK_WORDS: usize = CHUNK_PAGES / 64;
+
+/// One chunk of the bit array: a set bit is an evicted page.
+type Chunk = [u64; CHUNK_WORDS];
 
 /// The collector-side view of which heap pages are non-resident.
 ///
@@ -16,13 +22,27 @@ use vmm::VirtPage;
 /// page non-resident exactly when it relinquishes it (or learns of a hard
 /// eviction) and resident again on a `MadeResident` notification.
 ///
-/// The set is ordered so every iteration over evicted pages (bookmark
-/// scans, fail-safe restores) proceeds in a fixed, run-independent order —
-/// a `HashSet` here made BC's simulated trace order depend on the host
-/// process's hash seed.
+/// This is the paper's bit array: one bit per page, so the per-edge
+/// residency test of a full collection is two indexed loads and a mask.
+/// The heap's regions span 3 GiB of address space, so the array sits under
+/// a directory of 1 024-page chunks (the shape of `vmm`'s page table and
+/// `SimMemory`'s page directory): a chunk is allocated when its first page
+/// is evicted, and a heap that never sees an eviction owns no memory here
+/// at all. Iteration is in ascending page order, so bookmark scans and
+/// fail-safe restores proceed in a fixed, run-independent order.
 #[derive(Clone, Debug, Default)]
 pub struct ResidencyMap {
-    evicted: BTreeSet<VirtPage>,
+    /// `chunks[c]` covers pages `c * 1024 .. (c + 1) * 1024`.
+    chunks: Vec<Option<Box<Chunk>>>,
+    /// Number of set bits.
+    evicted: usize,
+}
+
+/// Splits a page number into (chunk, word-in-chunk, bit-in-word).
+#[inline]
+fn locate(page: u32) -> (usize, usize, u64) {
+    let p = page as usize;
+    (p / CHUNK_PAGES, p % CHUNK_PAGES / 64, 1u64 << (p % 64))
 }
 
 impl ResidencyMap {
@@ -31,51 +51,111 @@ impl ResidencyMap {
         ResidencyMap::default()
     }
 
+    /// The 64-page word holding `page`'s bit (zero where no chunk exists).
+    #[inline]
+    fn word(&self, page: u32) -> u64 {
+        let (c, w, _) = locate(page);
+        match self.chunks.get(c) {
+            Some(Some(chunk)) => chunk[w],
+            _ => 0,
+        }
+    }
+
     /// Records a page as evicted.
     pub fn mark_evicted(&mut self, page: VirtPage) {
-        self.evicted.insert(page);
+        let (c, w, bit) = locate(page.number());
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let word = &mut self.chunks[c].get_or_insert_with(|| Box::new([0; CHUNK_WORDS]))[w];
+        self.evicted += usize::from(*word & bit == 0);
+        *word |= bit;
     }
 
     /// Records a page as resident again. Returns whether it had been
     /// tracked as evicted.
     pub fn mark_resident(&mut self, page: VirtPage) -> bool {
-        self.evicted.remove(&page)
+        let (c, w, bit) = locate(page.number());
+        let Some(Some(chunk)) = self.chunks.get_mut(c) else {
+            return false;
+        };
+        let was_evicted = chunk[w] & bit != 0;
+        chunk[w] &= !bit;
+        self.evicted -= usize::from(was_evicted);
+        was_evicted
     }
 
     /// Whether a page is resident according to BC's own bookkeeping.
+    #[inline]
     pub fn page_resident(&self, page: VirtPage) -> bool {
-        !self.evicted.contains(&page)
+        self.word(page.number()) >> (page.number() % 64) & 1 == 0
     }
 
     /// Whether every page of `[addr, addr + len)` is resident.
     pub fn range_resident(&self, addr: Address, len: u32) -> bool {
-        if self.evicted.is_empty() {
+        if self.evicted == 0 {
             return true;
         }
-        let first = addr.page().number();
+        let mut page = addr.page().number();
         let last = Address(addr.0 + len.max(1) - 1).page().number();
-        (first..=last).all(|p| !self.evicted.contains(&VirtPage::new(p)))
+        // One masked word per 64-page stretch of the range.
+        while page <= last {
+            let word_last = (page | 63).min(last);
+            let mask = (u64::MAX << (page % 64)) & (u64::MAX >> (63 - word_last % 64));
+            if self.word(page) & mask != 0 {
+                return false;
+            }
+            page = word_last + 1;
+        }
+        true
     }
 
     /// Number of pages currently tracked as evicted.
     pub fn evicted_count(&self) -> usize {
-        self.evicted.len()
+        self.evicted
     }
 
     /// Whether any heap page is evicted (fast path: when false, full
     /// collections skip all bookmark machinery).
+    #[inline]
     pub fn any_evicted(&self) -> bool {
-        !self.evicted.is_empty()
+        self.evicted != 0
     }
 
     /// The evicted pages, in ascending page order.
     pub fn evicted_pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
-        self.evicted.iter().copied()
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(c, chunk)| Some((c, chunk.as_deref()?)))
+            .flat_map(|(c, chunk)| {
+                chunk.iter().enumerate().flat_map(move |(w, &word)| {
+                    let first = (c * CHUNK_PAGES + w * 64) as u32;
+                    SetBits(word).map(move |bit| VirtPage::new(first + bit))
+                })
+            })
     }
 
     /// Forgets all evictions (the §3.5 fail-safe makes everything resident).
     pub fn clear(&mut self) {
-        self.evicted.clear();
+        self.chunks.clear();
+        self.evicted = 0;
+    }
+}
+
+/// The positions of a word's set bits, ascending.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros();
+        self.0 &= self.0 - 1; // clear lowest set bit
+        Some(bit)
     }
 }
 
@@ -125,5 +205,138 @@ mod tests {
         m.clear();
         assert!(!m.any_evicted());
         assert!(m.page_resident(VirtPage::new(1)));
+    }
+
+    impl ResidencyMap {
+        /// Chunks of the bit array that have been allocated.
+        fn allocated_chunks(&self) -> usize {
+            self.chunks.iter().flatten().count()
+        }
+    }
+
+    #[test]
+    fn range_residency_crosses_words_and_chunks() {
+        let mut m = ResidencyMap::new();
+        m.mark_evicted(VirtPage::new(64)); // first bit of word 1
+        assert!(m.range_resident(Address(0), 64 * 4096));
+        assert!(!m.range_resident(Address(0), 64 * 4096 + 1));
+        assert!(!m.range_resident(Address(63 * 4096), 2 * 4096));
+        m.mark_resident(VirtPage::new(64));
+        m.mark_evicted(VirtPage::new(1024)); // first bit of chunk 1
+        assert!(m.range_resident(Address(1000 * 4096), 24 * 4096));
+        assert!(!m.range_resident(Address(1000 * 4096), 25 * 4096));
+        // A range running through a chunk that was never allocated.
+        assert!(!m.range_resident(Address(1024 * 4096), 3000 * 4096));
+        assert!(m.range_resident(Address(1025 * 4096), 3000 * 4096));
+    }
+
+    #[test]
+    fn double_eviction_counts_once() {
+        let mut m = ResidencyMap::new();
+        m.mark_evicted(VirtPage::new(7));
+        m.mark_evicted(VirtPage::new(7));
+        assert_eq!(m.evicted_count(), 1);
+        assert!(m.mark_resident(VirtPage::new(7)));
+        assert_eq!(m.evicted_count(), 0);
+        assert!(!m.any_evicted());
+    }
+
+    /// The regions span 3 GiB, but only the chunks an eviction lands in
+    /// exist — and none before the first eviction, so the thousands of
+    /// heaps of a fleet that never evict pay nothing.
+    #[test]
+    fn only_touched_chunks_are_allocated() {
+        let mut m = ResidencyMap::new();
+        assert!(m.page_resident(VirtPage::new(590_848)));
+        assert!(!m.mark_resident(VirtPage::new(590_848)));
+        assert!(m.range_resident(Address(0x9040_0000), 1 << 20));
+        assert_eq!(m.chunks.capacity(), 0, "a never-evicted map owns no memory");
+
+        let nursery = Address(0x0040_0000).page();
+        let los = Address(0x9040_0000).page();
+        assert_eq!(los.number(), 590_848);
+        m.mark_evicted(nursery);
+        m.mark_evicted(los);
+        assert_eq!(m.allocated_chunks(), 2);
+        assert_eq!(m.evicted_count(), 2);
+        assert_eq!(m.evicted_pages().collect::<Vec<_>>(), vec![nursery, los]);
+        // Lookups anywhere else allocate nothing.
+        assert!(m.page_resident(VirtPage::new(300_000)));
+        assert!(m.range_resident(Address(0x1040_0000), 64 << 20));
+        assert_eq!(m.allocated_chunks(), 2);
+
+        m.clear();
+        assert_eq!(m.allocated_chunks(), 0);
+        assert_eq!(m.evicted_pages().count(), 0);
+    }
+
+    #[cfg(not(miri))]
+    mod props {
+        use std::collections::BTreeSet;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// A page near a word, chunk or region boundary, or anywhere.
+        fn page() -> impl Strategy<Value = u32> {
+            prop_oneof![
+                0u32..200,
+                960u32..1100,
+                66_500u32..66_700,
+                590_840u32..590_860,
+                0u32..1_000_000,
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The bit array against the ordered set it replaced: every
+            /// query agrees after every step of a random script.
+            #[test]
+            fn bit_array_matches_btreeset_model(
+                script in proptest::collection::vec((0u8..16, page(), 0u32..4096, 0u32..40_000), 1..120)
+            ) {
+                let mut map = ResidencyMap::new();
+                let mut model: BTreeSet<u32> = BTreeSet::new();
+                for &(op, p, offset, len) in &script {
+                    let vp = VirtPage::new(p);
+                    match op {
+                        0..=7 => {
+                            map.mark_evicted(vp);
+                            model.insert(p);
+                        }
+                        8..=14 => prop_assert_eq!(map.mark_resident(vp), model.remove(&p)),
+                        _ => {
+                            map.clear();
+                            model.clear();
+                        }
+                    }
+                    prop_assert_eq!(map.evicted_count(), model.len());
+                    prop_assert_eq!(map.any_evicted(), !model.is_empty());
+                    for q in [p.saturating_sub(1), p, p + 1, p ^ 64, p ^ 1024] {
+                        prop_assert_eq!(
+                            map.page_resident(VirtPage::new(q)),
+                            !model.contains(&q)
+                        );
+                    }
+                    // Ranges ending just before, on and past `p`, starting
+                    // mid-page: `len` reaches across words and pages, and
+                    // `len = 0` covers the page of `addr` alone.
+                    let start = p.saturating_sub(len / 4096 / 2);
+                    let addr = Address(start * 4096 + offset);
+                    for len in [0, 1, 4096 - offset, 4097 - offset, len] {
+                        let last = (addr.0 + len.max(1) - 1) / 4096;
+                        let want = model.range(start..=last).next().is_none();
+                        prop_assert_eq!(map.range_resident(addr, len), want,
+                            "range {:?} + {}", addr, len);
+                    }
+                    let got: Vec<u32> = map.evicted_pages().map(VirtPage::number).collect();
+                    let want: Vec<u32> = model.iter().copied().collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 }

@@ -687,3 +687,164 @@ fn future_work_options_compose() {
     let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
     assert_eq!(list_len(&mut gc, &mut ctx, keep), 15_000);
 }
+
+// ----- the discard frontier (pressure.rs) -----------------------------------
+
+fn nursery_base_page(gc: &Bookmarking) -> u32 {
+    gc.nursery.base().page().number()
+}
+
+/// The frontier's life cycle in a machine with memory to spare, where
+/// nothing but the calls below discards a page: raised by allocation, kept
+/// across the nursery's release, held by a scan that stopped at its limit,
+/// lowered by a complete one to just past the highest page it kept.
+#[test]
+fn discard_frontier_follows_the_highest_kept_page() {
+    let mut e = env(64 << 20);
+    let mut gc = bc(&mut e, 8 << 20, BcOptions::default());
+    let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+    let base = nursery_base_page(&gc);
+    assert_eq!(gc.discard_frontier, base, "nothing allocated yet");
+
+    // ~100 nursery pages of garbage.
+    for _ in 0..20_000 {
+        let h = gc.alloc(&mut ctx, list_kind()).unwrap();
+        gc.drop_handle(h);
+    }
+    let extent_end = base + gc.nursery.extent_pages() as u32;
+    assert_eq!(gc.discard_frontier, extent_end, "raised with the extent");
+    let top_page = gc.nursery.top().page().number();
+    assert!(top_page - base > 80);
+
+    // The collection releases the nursery; its pages keep their frames and
+    // the frontier keeps covering them.
+    gc.collect(&mut ctx, CollectKind::Minor);
+    assert_eq!(gc.nursery.extent_pages(), 0);
+    assert_eq!(gc.discard_frontier, extent_end, "survives release_all");
+    assert!(ctx.vmm.is_resident(ctx.pid, vmm::VirtPage::new(top_page)));
+
+    // A scan that fills its quota stops early and learns nothing.
+    assert_eq!(gc.discard_empties_inner(&mut ctx, 10, 0), 10);
+    assert_eq!(
+        gc.discard_frontier, extent_end,
+        "early break must not lower"
+    );
+    assert_eq!(gc.discard_empties_inner(&mut ctx, 10, 5), 10);
+    assert_eq!(gc.discard_frontier, extent_end);
+
+    // A complete scan keeps the five highest resident pages back: the
+    // frontier lands just past the highest of them.
+    let resident = (base..extent_end)
+        .filter(|&p| ctx.vmm.is_resident(ctx.pid, vmm::VirtPage::new(p)))
+        .count();
+    assert_eq!(gc.discard_empties_inner(&mut ctx, 1000, 5), resident - 5);
+    assert_eq!(gc.discard_frontier, top_page + 1);
+    assert!(
+        gc.discard_frontier < extent_end,
+        "the untouched tail is cut"
+    );
+    for p in top_page - 4..=top_page {
+        assert!(ctx.vmm.is_resident(ctx.pid, vmm::VirtPage::new(p)));
+    }
+
+    // Nothing held back: everything goes, and the frontier falls to the
+    // first free page.
+    assert_eq!(gc.discard_empties_inner(&mut ctx, 1000, 0), 5);
+    assert_eq!(gc.discard_frontier, base);
+    assert_eq!(gc.discard_empties_inner(&mut ctx, 1000, 0), 0);
+
+    // The next allocation raises it over the fresh extent.
+    let h = gc.alloc(&mut ctx, list_kind()).unwrap();
+    gc.drop_handle(h);
+    assert_eq!(gc.discard_frontier, base + gc.nursery.extent_pages() as u32);
+    assert!(gc.nursery.extent_pages() > 0);
+}
+
+/// Under `cfg(test)` every `discard_empties_inner` compares its candidate
+/// pages with a scan up to the nursery's historical high-water mark (and,
+/// as in any debug build, re-probes everything above the frontier). This
+/// drives BC through random schedules of allocation bursts, collections,
+/// signalmem-style pressure ramps (the shape `dynamic_pressure_config`
+/// gives the simulator: pin a few pages, let the collector react, pin
+/// more), releases and reloads, so that those checks meet every state the
+/// frontier can be in.
+#[test]
+fn discard_frontier_matches_full_scan_on_random_schedules() {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut e = env(4 << 20); // 1024 frames
+        let options = if seed % 3 == 2 {
+            BcOptions::resizing_only()
+        } else {
+            BcOptions::default()
+        };
+        let mut gc = bc(&mut e, 2 << 20, options);
+        let keep = {
+            let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+            make_list(&mut gc, &mut ctx, 12_000)
+        };
+        let mut pinned = 0u32;
+        let (mut lowered, mut raised) = (0u32, 0u32);
+        for _ in 0..250 {
+            let before = gc.discard_frontier;
+            match rng.random_range(0..10u32) {
+                0..=2 => {
+                    let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+                    for _ in 0..rng.random_range(20..6_000u32) {
+                        let h = gc.alloc(&mut ctx, list_kind()).unwrap();
+                        gc.drop_handle(h);
+                    }
+                }
+                3 => {
+                    let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+                    gc.collect(&mut ctx, CollectKind::Minor);
+                }
+                4 => {
+                    let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+                    gc.collect(&mut ctx, CollectKind::Full);
+                }
+                5..=7 => {
+                    // Ramp: pin while the machine has frames to give.
+                    for _ in 0..rng.random_range(8..120u32) {
+                        if e.vmm.free_frames() <= 8 || pinned >= 1000 {
+                            break;
+                        }
+                        e.vmm.mlock(e.hog, vmm::VirtPage::new(pinned), &mut e.clock);
+                        pinned += 1;
+                        if pinned.is_multiple_of(4) {
+                            step(&mut gc, &mut e.vmm, &mut e.clock, e.pid);
+                        }
+                    }
+                }
+                8 => {
+                    // The hog lets some memory go.
+                    for _ in 0..rng.random_range(0..60u32).min(pinned) {
+                        pinned -= 1;
+                        let page = vmm::VirtPage::new(pinned);
+                        e.vmm.munlock(e.hog, page, &mut e.clock);
+                        e.vmm.madvise_dontneed(e.hog, &[page], &mut e.clock);
+                    }
+                }
+                _ => {
+                    // Walking the list reloads whatever left.
+                    let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+                    assert_eq!(list_len(&mut gc, &mut ctx, keep), 12_000);
+                }
+            }
+            step(&mut gc, &mut e.vmm, &mut e.clock, e.pid);
+            lowered += u32::from(gc.discard_frontier < before);
+            raised += u32::from(gc.discard_frontier > before);
+        }
+        let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+        assert_eq!(list_len(&mut gc, &mut ctx, keep), 12_000);
+        assert!(
+            gc.stats().pages_discarded > 100 && lowered > 3 && raised > 3,
+            "seed {seed} never exercised the frontier: {} discarded, \
+             lowered {lowered}, raised {raised}",
+            gc.stats().pages_discarded
+        );
+    }
+}

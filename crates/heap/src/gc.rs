@@ -477,16 +477,17 @@ pub trait Forwarder {
     fn forward(&mut self, ctx: &mut MemCtx<'_>, obj: Address) -> Address;
 }
 
-/// Forwards every root slot.
+/// Forwards every live root slot in place, in slot order. The root set is
+/// moved out of the core for the duration (the forwarder borrows the core
+/// mutably), so a collection allocates nothing per root.
+#[zero_alloc]
 pub fn forward_roots<F: Forwarder>(f: &mut F, ctx: &mut MemCtx<'_>) {
     let mut roots = std::mem::take(&mut f.core_mut().roots);
-    let mut slots: Vec<Address> = roots.iter().collect();
-    for slot in &mut slots {
-        *slot = f.forward(ctx, *slot);
-    }
-    // Write back in the same order.
-    let mut it = slots.into_iter();
-    roots.for_each_slot_mut(|s| *s = it.next().expect("root count changed during trace"));
+    roots.for_each_slot_mut(|slot| *slot = f.forward(ctx, *slot));
+    debug_assert!(
+        f.core_mut().roots.is_empty(),
+        "a root was added during the trace"
+    );
     f.core_mut().roots = roots;
 }
 

@@ -560,30 +560,14 @@ impl MsSpace {
     /// ascending, straight off `alloc_bits` — no per-superpage `Vec`.
     /// Yields nothing for an unassigned superpage.
     pub fn allocated_cells_iter(&self, sp: SpIndex) -> AllocatedCells<'_> {
-        let st = &self.sps[sp.0 as usize];
-        match st.assignment {
-            Some((class, _)) => AllocatedCells {
-                words: &st.alloc_bits,
-                word_idx: 0,
-                word: st.alloc_bits.first().copied().unwrap_or(0),
-                base: self.cell_addr(sp, 0, 0),
-                cell_bytes: self.classes.class(class).cell_bytes,
-            },
-            None => AllocatedCells {
-                words: &[],
-                word_idx: 0,
-                word: 0,
-                base: Address(0),
-                cell_bytes: 0,
-            },
-        }
+        self.cells_overlapping_bytes(sp, 0, BYTES_PER_SUPERPAGE)
     }
 
-    /// Addresses of allocated cells overlapping one page of a superpage
+    /// Iterates the allocated cells overlapping one page of a superpage
     /// (`page_in_sp` ∈ 0..4). Used by the eviction-time bookmark scan, which
     /// processes "each object on the victim page" (§3.4) — including cells
     /// that merely straddle into it.
-    pub fn cells_overlapping_page(&self, sp: SpIndex, page_in_sp: u32) -> Vec<Address> {
+    pub fn cells_overlapping_page(&self, sp: SpIndex, page_in_sp: u32) -> AllocatedCells<'_> {
         debug_assert!(page_in_sp < PAGES_PER_SUPERPAGE);
         self.cells_overlapping_bytes(
             sp,
@@ -592,23 +576,42 @@ impl MsSpace {
         )
     }
 
-    /// Addresses of allocated cells overlapping the byte range
+    /// Iterates the allocated cells overlapping the byte range
     /// `[start, end)` of a superpage (offsets relative to the superpage
-    /// base). Used by card scanning (§3.1) and the bookmark machinery.
-    pub fn cells_overlapping_bytes(&self, sp: SpIndex, start: u32, end: u32) -> Vec<Address> {
+    /// base), ascending, straight off `alloc_bits`; nothing for an
+    /// unassigned superpage. Used by card scanning (§3.1) and the bookmark
+    /// machinery.
+    pub fn cells_overlapping_bytes(&self, sp: SpIndex, start: u32, end: u32) -> AllocatedCells<'_> {
         debug_assert!(start < end && end <= BYTES_PER_SUPERPAGE);
         let st = &self.sps[sp.0 as usize];
         let Some((class, _)) = st.assignment else {
-            return Vec::new();
+            return AllocatedCells {
+                words: &[],
+                word_idx: 0,
+                word: 0,
+                end: 0,
+                base: Address(0),
+                cell_bytes: 0,
+            };
         };
         let c = self.classes.class(class);
         // Cell i spans [12 + i*cell, 12 + (i+1)*cell).
         let first = start.saturating_sub(SUPERPAGE_METADATA_BYTES) / c.cell_bytes;
         let last = (end - 1).saturating_sub(SUPERPAGE_METADATA_BYTES) / c.cell_bytes;
-        (first..=last.min(c.cells_per_superpage - 1))
-            .filter(|&i| st.is_allocated(i))
-            .map(|i| self.cell_addr(sp, i, c.cell_bytes))
-            .collect()
+        let end = (last + 1).min(c.cells_per_superpage);
+        // The word scan stops with the slice: no word past `end` is read.
+        let words = &st.alloc_bits[..end.div_ceil(64) as usize];
+        let word_idx = (first / 64) as usize;
+        let word = words.get(word_idx).copied().unwrap_or(0);
+        AllocatedCells {
+            words,
+            word_idx,
+            // Cells of the first word below `first` are not wanted.
+            word: word & (u64::MAX << (first % 64)),
+            end,
+            base: self.cell_addr(sp, 0, 0),
+            cell_bytes: c.cell_bytes,
+        }
     }
 
     /// Marks every *free* cell overlapping the byte range `[start, end)` of
@@ -777,6 +780,8 @@ pub struct AllocatedCells<'a> {
     word_idx: usize,
     /// Remaining bits of the current word.
     word: u64,
+    /// One past the last cell index to yield.
+    end: u32,
     /// Address of cell 0 (superpage base plus metadata).
     base: Address,
     cell_bytes: u32,
@@ -791,6 +796,9 @@ impl Iterator for AllocatedCells<'_> {
             self.word = *self.words.get(self.word_idx)?;
         }
         let cell = self.word_idx as u32 * 64 + self.word.trailing_zeros();
+        if cell >= self.end {
+            return None;
+        }
         self.word &= self.word - 1; // clear lowest set bit
         Some(Address(self.base.0 + cell * self.cell_bytes))
     }
@@ -898,12 +906,59 @@ mod tests {
         }
         let sp = SpIndex(0);
         // Page 1 covers [4096, 8192): overlaps cell 0 (ends 5468) and cell 1.
-        let cells = ms.cells_overlapping_page(sp, 1);
+        let cells: Vec<Address> = ms.cells_overlapping_page(sp, 1).collect();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].0 % BYTES_PER_SUPERPAGE, 12);
         // Page 3 covers [12288, 16384): overlaps cell 2 only.
-        let cells = ms.cells_overlapping_page(sp, 3);
-        assert_eq!(cells.len(), 1);
+        assert_eq!(ms.cells_overlapping_page(sp, 3).count(), 1);
+    }
+
+    /// The range iterator against the definition: an allocated cell is
+    /// yielded exactly when its bytes intersect `[start, end)`.
+    #[test]
+    fn cells_overlapping_bytes_matches_interval_definition() {
+        for size in [8u32, 24, 64, 200, 1000, 5000] {
+            let (mut ms, mut pool) = space();
+            let sc = ms.classes().class_for(size).unwrap();
+            let cells: Vec<Address> = (0..sc.cells_per_superpage)
+                .map(|_| ms.alloc(&mut pool, sc.index, BlockKind::Scalar).unwrap())
+                .collect();
+            let sp = ms.sp_of(cells[0]);
+            assert!(cells.iter().all(|&c| ms.sp_of(c) == sp));
+            // Punch holes, keeping a few cells either side of a word edge.
+            for (i, &cell) in cells.iter().enumerate() {
+                if i % 3 == 1 || (i % 64 > 2 && i % 64 < 61 && i % 5 != 0) {
+                    let _ = ms.free_cell(&mut pool, cell);
+                }
+            }
+            let base = ms.sp_base(sp).0;
+            let edges = [0, 1, 11, 12, 13, 500, 4095, 4096, 4097, 8192, 12288, 16383];
+            for (i, &start) in edges.iter().enumerate() {
+                for &end in edges[i + 1..].iter().chain(&[BYTES_PER_SUPERPAGE]) {
+                    if end <= SUPERPAGE_METADATA_BYTES {
+                        continue; // no card or page lies inside the header
+                    }
+                    let want: Vec<Address> = ms
+                        .allocated_cells(sp)
+                        .into_iter()
+                        .filter(|c| c.0 - base < end && c.0 - base + sc.cell_bytes > start)
+                        .collect();
+                    let got: Vec<Address> = ms.cells_overlapping_bytes(sp, start, end).collect();
+                    assert_eq!(
+                        got, want,
+                        "cell {} bytes, range {start}..{end}",
+                        sc.cell_bytes
+                    );
+                }
+            }
+        }
+        // An unassigned superpage yields nothing.
+        let (mut ms, mut pool) = space();
+        let class = ms.classes().class_for(64).unwrap().index;
+        let a = ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap();
+        let sp = ms.sp_of(a);
+        let _ = ms.free_cell(&mut pool, a);
+        assert_eq!(ms.cells_overlapping_page(sp, 0).count(), 0);
     }
 
     #[test]

@@ -336,7 +336,7 @@ mod tests {
             let want = seq.pop();
             assert_eq!(got, want, "divergence at step {step}");
             // Every third object "discovers" two children.
-            if step % 3 == 0 {
+            if step.is_multiple_of(3) {
                 for c in [
                     Address(0x9000_0000 + step * 8),
                     Address(0xA000_0000 + step * 8),

@@ -7,13 +7,28 @@
 //! The second drain traces the same graph again and must not allocate at
 //! all — the per-object path reuses every buffer it needs.
 //!
-//! This lives in its own test binary so the global allocator and the
-//! single-threaded assertion cannot interfere with other tests.
+//! This lives in its own test binary so the global allocator cannot
+//! interfere with other tests. The counter is global to the process and the
+//! harness runs tests on parallel threads, so every measurement holds
+//! [`MEASURING`] from its warm-up to its last read of the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+/// Serialises the measurements: one test at a time may build, warm and
+/// count, so no other test's set-up allocations land in its window.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    // A poisoned lock only means another measurement failed its assertion;
+    // the unit value it guards cannot be left invalid.
+    MEASURING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 struct CountingAlloc;
 
@@ -37,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-use heap::gc::{drain_gray, Core, Forwarder};
+use heap::gc::{drain_gray, forward_roots, Core, Forwarder};
 use heap::object::field_addr;
 use heap::{Address, HeapConfig, MemCtx, ObjectKind};
 use simtime::{Clock, CostModel};
@@ -61,10 +76,33 @@ impl Forwarder for Marker {
     }
 }
 
-/// Builds the tree, warms every buffer with one drain, then measures a
-/// second identical drain under the counting allocator.
-fn measure_warm_drain(gc_threads: usize) -> (u64, usize) {
+/// What [`measure_warm_trace`] roots before each trace.
+#[derive(Clone, Copy)]
+enum Roots {
+    /// The tree's root object alone, pushed by hand: `drain_gray` is the
+    /// only code measured.
+    Direct,
+    /// Every object, through handles in the core's `RootSet`:
+    /// `forward_roots` walks all 512 slots before the drain.
+    Handles,
+}
+
+/// One collection's trace: the root scan `roots` asks for, then the drain.
+fn trace(marker: &mut Marker, ctx: &mut MemCtx<'_>, roots: Roots, tree_root: Address) {
+    match roots {
+        Roots::Direct => {
+            marker.forward(ctx, tree_root);
+        }
+        Roots::Handles => forward_roots(marker, ctx),
+    }
+    drain_gray(marker, ctx);
+}
+
+/// Builds the tree, warms every buffer with one trace, then measures a
+/// second identical trace under the counting allocator.
+fn measure_warm_trace(gc_threads: usize, roots: Roots) -> (u64, usize) {
     const N: u32 = 512;
+    let _guard = measuring();
     let mut vmm = Vmm::new(
         VmmConfig::builder().frames(4096).build(),
         CostModel::default(),
@@ -97,27 +135,38 @@ fn measure_warm_drain(gc_threads: usize) -> (u64, usize) {
         }
     }
 
-    // Warm-up drain: grows the mark queue, the packet pool, the per-worker
+    if let Roots::Handles = roots {
+        for &obj in &objs {
+            let _ = marker.core.roots.add(obj);
+        }
+    }
+
+    // Warm-up trace: grows the mark queue, the packet pool, the per-worker
     // scratch buffers, and the simulated page structures to steady state.
-    marker.forward(&mut ctx, objs[0]);
-    drain_gray(&mut marker, &mut ctx);
+    trace(&mut marker, &mut ctx, roots, objs[0]);
     assert_eq!(marker.core.stats.objects_traced, N as u64);
     for &obj in &objs {
         marker.core.clear_mark(&mut ctx, obj);
     }
 
-    // The measured drain: identical trace, and every buffer is warm.
+    // The measured trace: identical, and every buffer is warm.
     ALLOCS.store(0, Ordering::SeqCst);
-    marker.forward(&mut ctx, objs[0]);
-    drain_gray(&mut marker, &mut ctx);
+    trace(&mut marker, &mut ctx, roots, objs[0]);
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(marker.core.stats.objects_traced, 2 * N as u64);
+    assert_eq!(
+        marker.core.roots.len(),
+        match roots {
+            Roots::Direct => 0,
+            Roots::Handles => N as usize,
+        }
+    );
     (2 * N as u64, allocs)
 }
 
 #[test]
 fn drain_gray_allocates_nothing_when_warm() {
-    let (traced, allocs) = measure_warm_drain(1);
+    let (traced, allocs) = measure_warm_trace(1, Roots::Direct);
     assert_eq!(
         allocs, 0,
         "drain_gray allocated {allocs} times while tracing {traced} objects; \
@@ -130,10 +179,22 @@ fn drain_gray_allocates_nothing_when_warm() {
 /// reused, so a warm drain still allocates nothing.
 #[test]
 fn packet_drain_allocates_nothing_when_warm_at_four_workers() {
-    let (traced, allocs) = measure_warm_drain(4);
+    let (traced, allocs) = measure_warm_trace(4, Roots::Direct);
     assert_eq!(
         allocs, 0,
         "packet drain (4 workers) allocated {allocs} times while tracing \
          {traced} objects; packets must recycle through the free pool"
+    );
+}
+
+/// The root scan forwards the root set's slots where they are: a warm
+/// collection over 512 handles copies no root out and back.
+#[test]
+fn forward_roots_allocates_nothing_when_warm() {
+    let (traced, allocs) = measure_warm_trace(1, Roots::Handles);
+    assert_eq!(
+        allocs, 0,
+        "forward_roots + drain_gray allocated {allocs} times over 512 roots \
+         ({traced} objects traced); roots must be forwarded in place"
     );
 }

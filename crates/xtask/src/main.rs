@@ -85,6 +85,7 @@ const ZERO_ALLOC_BANNED: &[&str] = &[
 const REQUIRED_ZERO_ALLOC: &[(&str, &str)] = &[
     ("crates/heap/src/gc.rs", "scan_refs_into"),
     ("crates/heap/src/gc.rs", "drain_gray"),
+    ("crates/heap/src/gc.rs", "forward_roots"),
     ("crates/heap/src/packet.rs", "acquire"),
     ("crates/heap/src/packet.rs", "pop_obj"),
     ("crates/heap/src/packet.rs", "push_obj"),

@@ -2,9 +2,11 @@
 //! the write barrier, nursery collection, full collection, BC's
 //! eviction-time bookmark scan, the charged object primitives every
 //! one of those is made of (`Core::{header, try_mark, scan_refs_into,
-//! init_object}`, DESIGN.md §10.2), and the two per-event costs of BC's
+//! init_object}`, DESIGN.md §10.2), the two per-event costs of BC's
 //! cooperation path (an idle `discard_reserve`, a residency lookup;
-//! DESIGN.md §10.7).
+//! DESIGN.md §10.7), and the two fixed costs outside the collectors: the
+//! synthetic mutator's own work per allocation and the construction of an
+//! empty `MsSpace` (DESIGN.md §10.8).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -12,10 +14,11 @@ use std::hint::black_box;
 use bookmarking::{BcOptions, Bookmarking, ResidencyMap};
 use heap::gc::Core;
 use heap::object::field_addr;
-use heap::{Address, AllocKind, CollectKind, GcHeap, HeapConfig, MemCtx, ObjectKind};
+use heap::{Address, AllocKind, CollectKind, GcHeap, HeapConfig, MemCtx, MsSpace, ObjectKind};
 use simtime::{Clock, CostModel};
-use simulate::CollectorKind;
+use simulate::{CollectorKind, Program, ProgramStatus};
 use vmm::{Vmm, VmmConfig};
+use workloads::RecordingHeap;
 
 fn fresh(kind: CollectorKind) -> (Vmm, Clock, vmm::ProcessId, Box<dyn GcHeap>) {
     let mut vmm = Vmm::new(
@@ -383,11 +386,63 @@ fn bench_residency_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// The generator alone: one `SyntheticProgram::step` (256 allocations with
+/// their survivor routing, mutations and reads) against `RecordingHeap`,
+/// which owns no memory and never collects. Set-up runs the program past
+/// its immortal prelude (which draws no survivor, mutation or read trial)
+/// and then [`WARM_STEPS`] more. Divide by 256 for ns per allocation.
+fn bench_synthetic_step(c: &mut Criterion) {
+    const WARM_STEPS: usize = 16;
+    let mut group = c.benchmark_group("synthetic_step_x256");
+    group.sample_size(50);
+    for name in ["pseudoJBB", "_209_db"] {
+        group.bench_function(name, |b| {
+            let mut vmm = Vmm::new(
+                VmmConfig::builder().frames(16).build(),
+                CostModel::default(),
+            );
+            let mut clock = Clock::new();
+            let pid = vmm.register_process();
+            let mut gc = RecordingHeap::new();
+            let mut program = workloads::spec(name).unwrap().program(0.05, 42);
+            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
+            let mut warm = 0;
+            while warm < WARM_STEPS {
+                let status = program.step(&mut gc, &mut ctx).unwrap();
+                assert_eq!(status, ProgramStatus::Running);
+                warm += usize::from(program.counts().survivors > 0);
+            }
+            b.iter(|| program.step(&mut gc, &mut ctx).unwrap());
+            black_box(gc.digest());
+        });
+    }
+    group.finish();
+}
+
+/// What every tenant of a fleet pays before its first allocation: one
+/// empty `MsSpace`. One sample is [`SPACES`] constructions, each dropped
+/// before the next: divide by 1 024. (Bytes per construction are pinned by
+/// the counting allocator in `heap/tests/zero_alloc_trace.rs`.)
+fn bench_msspace_new(c: &mut Criterion) {
+    const SPACES: u32 = 1024;
+    let mut group = c.benchmark_group("msspace_new_x1024");
+    group.bench_function("empty", |b| {
+        b.iter(|| {
+            for _ in 0..SPACES {
+                black_box(MsSpace::new(Address(0x1000_0000), Address(0x2000_0000)));
+            }
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_core_primitives,
     bench_discard_reserve_idle,
     bench_residency_lookup,
+    bench_synthetic_step,
+    bench_msspace_new,
     bench_alloc,
     bench_write_barrier,
     bench_nursery_gc,

@@ -44,6 +44,7 @@ pub enum AllocKind {
 
 impl AllocKind {
     /// The object-model shape for this request.
+    #[inline]
     pub fn object_kind(&self) -> ObjectKind {
         match *self {
             AllocKind::Scalar {
@@ -56,6 +57,7 @@ impl AllocKind {
     }
 
     /// Total size in bytes, header included.
+    #[inline]
     pub fn size_bytes(&self) -> u32 {
         self.object_kind().size_bytes()
     }

@@ -176,21 +176,11 @@ impl Core {
         self.stats.bytes_allocated += size as u64;
     }
 
-    /// Reads the reference fields of `obj`, returning `(slot, target)` for
-    /// each non-null one, charging the scan.
-    ///
-    /// Convenience wrapper over [`Core::scan_refs_into`]; the tracing loop
-    /// uses the `_into` form with a reused scratch buffer instead.
-    pub fn scan_refs(&mut self, ctx: &mut MemCtx<'_>, obj: Address) -> Vec<(Address, Address)> {
-        let mut out = Vec::new();
-        self.scan_refs_into(ctx, obj, &mut out);
-        out
-    }
-
-    /// Reads the reference fields of `obj` into `out` (cleared first),
-    /// charging the scan. Performs no heap allocation once `out` has grown
-    /// to the largest ref count seen, and copies no cost table: only the
-    /// two cost fields the scan charges are read.
+    /// Reads the reference fields of `obj` into `out` (cleared first) as
+    /// `(slot, target)` for each non-null one, charging the scan. Performs
+    /// no heap allocation once `out` has grown to the largest ref count
+    /// seen, and copies no cost table: only the two cost fields the scan
+    /// charges are read.
     #[inline]
     #[zero_alloc]
     pub fn scan_refs_into(
@@ -671,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_refs_returns_nonnull_slots() {
+    fn scan_refs_into_returns_nonnull_slots() {
         let (mut core, mut vmm, mut clock) = setup();
         let mut ctx = MemCtx::new(&mut vmm, &mut clock, vmm::ProcessId::new(0));
         let obj = Address(0x1040_0000);
@@ -679,7 +669,9 @@ mod tests {
         // Set fields 0 and 2.
         core.write_slot(&mut ctx, field_addr(obj, 0), Address(0x2000));
         core.write_slot(&mut ctx, field_addr(obj, 2), Address(0x3000));
-        let refs = core.scan_refs(&mut ctx, obj);
+        // Stale contents are cleared, not appended to.
+        let mut refs = vec![(Address(4), Address(8))];
+        core.scan_refs_into(&mut ctx, obj, &mut refs);
         assert_eq!(
             refs,
             vec![

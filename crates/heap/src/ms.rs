@@ -150,7 +150,7 @@ struct AllocRun {
 pub struct MsSpace {
     base: Address,
     region_limit: Address,
-    classes: SizeClasses,
+    classes: &'static SizeClasses,
     sps: Vec<SpState>,
     /// Superpages carved out of the region so far.
     extent_sps: u32,
@@ -171,7 +171,7 @@ impl MsSpace {
     pub fn new(base: Address, region_limit: Address) -> MsSpace {
         assert_eq!(base.0 % BYTES_PER_SUPERPAGE, 0);
         assert_eq!(region_limit.0 % BYTES_PER_SUPERPAGE, 0);
-        let classes = SizeClasses::new();
+        let classes = SizeClasses::shared();
         let n_classes = classes.iter().count();
         MsSpace {
             base,
@@ -187,7 +187,7 @@ impl MsSpace {
 
     /// The size-class table.
     pub fn classes(&self) -> &SizeClasses {
-        &self.classes
+        self.classes
     }
 
     fn partial_idx(class: u8, kind: BlockKind) -> usize {

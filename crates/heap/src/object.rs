@@ -62,6 +62,7 @@ impl ObjectKind {
     /// # Panics
     ///
     /// Panics if `num_refs > data_words` or the object exceeds 8180 bytes.
+    #[inline]
     pub fn scalar(data_words: u16, num_refs: u16) -> ObjectKind {
         assert!(num_refs <= data_words, "more refs than fields");
         let size_words = data_words as u32 + HEADER_BYTES / WORD;
@@ -96,6 +97,7 @@ impl ObjectKind {
     }
 
     /// Whether this is an array (for scalar/array superpage segregation).
+    #[inline]
     pub fn is_array(&self) -> bool {
         matches!(self, ObjectKind::Array { .. })
     }

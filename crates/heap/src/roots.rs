@@ -33,6 +33,7 @@ impl RootSet {
     }
 
     /// Roots `addr`, returning a stable handle.
+    #[inline]
     pub fn add(&mut self, addr: Address) -> Handle {
         debug_assert!(!addr.is_null(), "rooting null");
         match self.free.pop() {
@@ -52,6 +53,7 @@ impl RootSet {
     /// # Panics
     ///
     /// Panics if the handle was removed.
+    #[inline]
     pub fn get(&self, h: Handle) -> Address {
         let addr = self.slots[h.0 as usize];
         assert!(!addr.is_null(), "use of dropped handle {h:?}");
@@ -59,12 +61,14 @@ impl RootSet {
     }
 
     /// Re-points a handle (used by `read_ref`-style loads that reuse slots).
+    #[inline]
     pub fn set(&mut self, h: Handle, addr: Address) {
         debug_assert!(!addr.is_null());
         self.slots[h.0 as usize] = addr;
     }
 
     /// Unroots a handle; the slot is recycled.
+    #[inline]
     pub fn remove(&mut self, h: Handle) {
         debug_assert!(!self.slots[h.0 as usize].is_null(), "double drop of {h:?}");
         self.slots[h.0 as usize] = Address::NULL;

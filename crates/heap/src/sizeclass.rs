@@ -20,6 +20,8 @@
 //!
 //! where *usable* = 16384 − 12 bytes of superpage-header metadata.
 
+use std::sync::OnceLock;
+
 use crate::addr::{BYTES_PER_SUPERPAGE, WORD};
 
 /// Bytes of metadata at the start of every superpage (the superpage header
@@ -113,6 +115,15 @@ impl SizeClasses {
             lookup[size as usize] = class as u8;
         }
         SizeClasses { classes, lookup }
+    }
+
+    /// The one table every [`MsSpace`](crate::MsSpace) reads. The table is
+    /// a pure function of two constants, so a process needs one copy, not
+    /// one per heap; it is immutable and takes no input, so sharing it
+    /// cannot couple two runs.
+    pub fn shared() -> &'static SizeClasses {
+        static TABLE: OnceLock<SizeClasses> = OnceLock::new();
+        TABLE.get_or_init(SizeClasses::new)
     }
 
     /// The class for a request of `bytes` (header included).
@@ -254,6 +265,17 @@ mod tests {
                 assert!(prev.cell_bytes < bytes, "class not minimal for {bytes}");
             }
         }
+    }
+
+    #[test]
+    fn the_shared_table_is_one_fresh_table() {
+        let (shared, fresh) = (SizeClasses::shared(), SizeClasses::new());
+        assert!(shared.iter().eq(fresh.iter()), "class for class");
+        for bytes in 0..=fresh.largest_cell() + 1 {
+            assert_eq!(shared.class_for(bytes), fresh.class_for(bytes), "{bytes}");
+        }
+        assert_eq!(fresh.largest_cell(), 8184);
+        assert!(std::ptr::eq(shared, SizeClasses::shared()));
     }
 
     #[test]

@@ -7,27 +7,32 @@
 //! The second drain traces the same graph again and must not allocate at
 //! all — the per-object path reuses every buffer it needs.
 //!
+//! The same allocator also counts bytes, for one construction-cost bound:
+//! a second `MsSpace` borrows the process-wide size-class table instead of
+//! building its own 8.8 KB copy.
+//!
 //! This lives in its own test binary so the global allocator cannot
-//! interfere with other tests. The counter is global to the process and the
-//! harness runs tests on parallel threads, so every measurement holds
-//! [`MEASURING`] from its warm-up to its last read of the counter.
+//! interfere with other tests. The harness runs tests on parallel threads
+//! and allocates on its own (spawning the next test, reporting the last),
+//! so the counters are per thread: a measurement sees exactly what its own
+//! thread allocated, whatever runs beside it. (Process-wide counters behind
+//! a lock still let the harness's allocations into a window: 1 run in 400
+//! failed that way, and most runs of a full `cargo test --release`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::Cell;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const` and without a destructor: reading these never allocates and
+    // stays valid for the whole life of the thread, allocator calls during
+    // thread start-up and tear-down included.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Serialises the measurements: one test at a time may build, warm and
-/// count, so no other test's set-up allocations land in its window.
-static MEASURING: Mutex<()> = Mutex::new(());
-
-fn measuring() -> MutexGuard<'static, ()> {
-    // A poisoned lock only means another measurement failed its assertion;
-    // the unit value it guards cannot be left invalid.
-    MEASURING
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+fn count(bytes: usize) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes));
 }
 
 struct CountingAlloc;
@@ -35,7 +40,7 @@ struct CountingAlloc;
 // SAFETY: delegates to `System` unchanged; only adds counter bumps.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -44,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -54,7 +59,7 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 use heap::gc::{drain_gray, forward_roots, Core, Forwarder};
 use heap::object::field_addr;
-use heap::{Address, HeapConfig, MemCtx, ObjectKind};
+use heap::{Address, HeapConfig, MemCtx, MsSpace, ObjectKind};
 use simtime::{Clock, CostModel};
 use vmm::{Vmm, VmmConfig};
 
@@ -102,7 +107,6 @@ fn trace(marker: &mut Marker, ctx: &mut MemCtx<'_>, roots: Roots, tree_root: Add
 /// second identical trace under the counting allocator.
 fn measure_warm_trace(gc_threads: usize, roots: Roots) -> (u64, usize) {
     const N: u32 = 512;
-    let _guard = measuring();
     let mut vmm = Vmm::new(
         VmmConfig::builder().frames(4096).build(),
         CostModel::default(),
@@ -150,9 +154,9 @@ fn measure_warm_trace(gc_threads: usize, roots: Roots) -> (u64, usize) {
     }
 
     // The measured trace: identical, and every buffer is warm.
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.set(0);
     trace(&mut marker, &mut ctx, roots, objs[0]);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let allocs = ALLOCS.get();
     assert_eq!(marker.core.stats.objects_traced, 2 * N as u64);
     assert_eq!(
         marker.core.roots.len(),
@@ -197,4 +201,22 @@ fn forward_roots_allocates_nothing_when_warm() {
         "forward_roots + drain_gray allocated {allocs} times over 512 roots \
          ({traced} objects traced); roots must be forwarded in place"
     );
+}
+
+/// A fleet builds thousands of heaps. Each `MsSpace` owns its per-class
+/// partial lists and run cache (4.5 KB for 52 classes x 2 kinds) but only
+/// borrows the size-class table, which is a constant.
+#[test]
+fn a_second_ms_space_borrows_the_size_class_table() {
+    let (base, limit) = (Address(0x1000_0000), Address(0x2000_0000));
+    let first = MsSpace::new(base, limit);
+    BYTES.set(0);
+    let second = MsSpace::new(base, limit);
+    let bytes = BYTES.get();
+    assert!(
+        bytes < 6 << 10,
+        "a second MsSpace allocated {bytes} bytes; the 8.8 KB size-class \
+         table must be shared, not rebuilt"
+    );
+    assert!(std::ptr::eq(first.classes(), second.classes()));
 }

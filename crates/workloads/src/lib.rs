@@ -21,6 +21,9 @@
 //! allocation load, live-set pressure, and reference locality — survives
 //! this substitution; absolute throughput numbers do not (see DESIGN.md).
 //!
+//! [`RecordingHeap`] is a [`heap::GcHeap`] with no memory behind it, for
+//! pinning and timing a program's calls apart from any collector.
+//!
 //! # Example
 //!
 //! ```
@@ -35,9 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod programs;
+mod recording;
 mod spec;
 mod synthetic;
 
 pub use programs::{CompressLike, DbLike, TreeBuilder};
+pub use recording::RecordingHeap;
 pub use spec::{spec, table1, BenchmarkSpec};
 pub use synthetic::{AllocCounts, SyntheticProgram};

@@ -50,154 +50,157 @@ impl BenchmarkSpec {
     }
 }
 
+/// Table 1 with each analogue's behavioural parameters.
+const TABLE1: [BenchmarkSpec; 9] = [
+    // SPECjvm98 _201_compress: LZW compression over large buffers —
+    // dominated by big byte arrays with a small, hot dictionary.
+    BenchmarkSpec {
+        name: "_201_compress",
+        paper_total_alloc: 109_190_172,
+        paper_min_heap: 16_777_216,
+        immortal_bytes: 3 << 20,
+        live_window_bytes: 5 << 20,
+        survivor_fraction: 0.10,
+        mean_scalar_words: 8,
+        array_fraction: 0.30,
+        mean_array_len: 512,
+        large_fraction: 0.004,
+        mutations_per_alloc: 0.2,
+        reads_per_alloc: 1.5,
+    },
+    // _202_jess: expert system — torrents of small, short-lived facts.
+    BenchmarkSpec {
+        name: "_202_jess",
+        paper_total_alloc: 267_602_628,
+        paper_min_heap: 12_582_912,
+        immortal_bytes: 2 << 20,
+        live_window_bytes: 3 << 20,
+        survivor_fraction: 0.05,
+        mean_scalar_words: 8,
+        array_fraction: 0.10,
+        mean_array_len: 24,
+        large_fraction: 0.0,
+        mutations_per_alloc: 0.5,
+        reads_per_alloc: 0.8,
+    },
+    // _205_raytrace: scene graph + per-ray vectors.
+    BenchmarkSpec {
+        name: "_205_raytrace",
+        paper_total_alloc: 92_381_448,
+        paper_min_heap: 14_680_064,
+        immortal_bytes: 4 << 20,
+        live_window_bytes: 3 << 20,
+        survivor_fraction: 0.06,
+        mean_scalar_words: 6,
+        array_fraction: 0.08,
+        mean_array_len: 16,
+        large_fraction: 0.0,
+        mutations_per_alloc: 0.3,
+        reads_per_alloc: 1.2,
+    },
+    // _209_db: an in-memory database read and shuffled intensively.
+    BenchmarkSpec {
+        name: "_209_db",
+        paper_total_alloc: 61_216_580,
+        paper_min_heap: 19_922_944,
+        immortal_bytes: 9 << 20,
+        live_window_bytes: 1 << 20,
+        survivor_fraction: 0.04,
+        mean_scalar_words: 10,
+        array_fraction: 0.15,
+        mean_array_len: 32,
+        large_fraction: 0.0,
+        mutations_per_alloc: 0.4,
+        reads_per_alloc: 3.0,
+    },
+    // _213_javac: compiler — linked ASTs with real medium lifetimes.
+    BenchmarkSpec {
+        name: "_213_javac",
+        paper_total_alloc: 181_468_984,
+        paper_min_heap: 19_922_944,
+        immortal_bytes: 3 << 20,
+        live_window_bytes: 7 << 20,
+        survivor_fraction: 0.15,
+        mean_scalar_words: 9,
+        array_fraction: 0.12,
+        mean_array_len: 24,
+        large_fraction: 0.001,
+        mutations_per_alloc: 0.8,
+        reads_per_alloc: 1.0,
+    },
+    // _228_jack: parser generator — short-lived token objects.
+    BenchmarkSpec {
+        name: "_228_jack",
+        paper_total_alloc: 250_486_124,
+        paper_min_heap: 11_534_336,
+        immortal_bytes: 2 << 20,
+        live_window_bytes: 5 << 20 >> 1, // 2.5 MB
+        survivor_fraction: 0.04,
+        mean_scalar_words: 7,
+        array_fraction: 0.10,
+        mean_array_len: 20,
+        large_fraction: 0.0,
+        mutations_per_alloc: 0.4,
+        reads_per_alloc: 0.7,
+    },
+    // DaCapo ipsixql: XML queries — allocation-heavy, short-lived.
+    BenchmarkSpec {
+        name: "ipsixql",
+        paper_total_alloc: 350_889_840,
+        paper_min_heap: 11_534_336,
+        immortal_bytes: 2 << 20,
+        live_window_bytes: 5 << 20 >> 1,
+        survivor_fraction: 0.03,
+        mean_scalar_words: 8,
+        array_fraction: 0.15,
+        mean_array_len: 28,
+        large_fraction: 0.0005,
+        mutations_per_alloc: 0.4,
+        reads_per_alloc: 0.8,
+    },
+    // DaCapo jython: interpreter — the heaviest allocator of the suite.
+    BenchmarkSpec {
+        name: "jython",
+        paper_total_alloc: 770_632_824,
+        paper_min_heap: 11_534_336,
+        immortal_bytes: 2 << 20,
+        live_window_bytes: 5 << 20 >> 1,
+        survivor_fraction: 0.02,
+        mean_scalar_words: 7,
+        array_fraction: 0.12,
+        mean_array_len: 16,
+        large_fraction: 0.0,
+        mutations_per_alloc: 0.6,
+        reads_per_alloc: 0.6,
+    },
+    // pseudoJBB: "initially allocates a few immortal objects and then
+    // allocates only short-lived objects" (§5.3.2) — warehouse data
+    // plus transaction churn. The only benchmark with a significant
+    // footprint (§5).
+    BenchmarkSpec {
+        name: "pseudoJBB",
+        paper_total_alloc: 233_172_290,
+        paper_min_heap: 35_651_584,
+        immortal_bytes: 16 << 20,
+        live_window_bytes: 6 << 20,
+        survivor_fraction: 0.15,
+        mean_scalar_words: 10,
+        array_fraction: 0.20,
+        mean_array_len: 48,
+        large_fraction: 0.0008,
+        mutations_per_alloc: 0.6,
+        reads_per_alloc: 0.4,
+    },
+];
+
 /// The nine benchmarks of Table 1, in the paper's order.
 pub fn table1() -> Vec<BenchmarkSpec> {
-    vec![
-        // SPECjvm98 _201_compress: LZW compression over large buffers —
-        // dominated by big byte arrays with a small, hot dictionary.
-        BenchmarkSpec {
-            name: "_201_compress",
-            paper_total_alloc: 109_190_172,
-            paper_min_heap: 16_777_216,
-            immortal_bytes: 3 << 20,
-            live_window_bytes: 5 << 20,
-            survivor_fraction: 0.10,
-            mean_scalar_words: 8,
-            array_fraction: 0.30,
-            mean_array_len: 512,
-            large_fraction: 0.004,
-            mutations_per_alloc: 0.2,
-            reads_per_alloc: 1.5,
-        },
-        // _202_jess: expert system — torrents of small, short-lived facts.
-        BenchmarkSpec {
-            name: "_202_jess",
-            paper_total_alloc: 267_602_628,
-            paper_min_heap: 12_582_912,
-            immortal_bytes: 2 << 20,
-            live_window_bytes: 3 << 20,
-            survivor_fraction: 0.05,
-            mean_scalar_words: 8,
-            array_fraction: 0.10,
-            mean_array_len: 24,
-            large_fraction: 0.0,
-            mutations_per_alloc: 0.5,
-            reads_per_alloc: 0.8,
-        },
-        // _205_raytrace: scene graph + per-ray vectors.
-        BenchmarkSpec {
-            name: "_205_raytrace",
-            paper_total_alloc: 92_381_448,
-            paper_min_heap: 14_680_064,
-            immortal_bytes: 4 << 20,
-            live_window_bytes: 3 << 20,
-            survivor_fraction: 0.06,
-            mean_scalar_words: 6,
-            array_fraction: 0.08,
-            mean_array_len: 16,
-            large_fraction: 0.0,
-            mutations_per_alloc: 0.3,
-            reads_per_alloc: 1.2,
-        },
-        // _209_db: an in-memory database read and shuffled intensively.
-        BenchmarkSpec {
-            name: "_209_db",
-            paper_total_alloc: 61_216_580,
-            paper_min_heap: 19_922_944,
-            immortal_bytes: 9 << 20,
-            live_window_bytes: 1 << 20,
-            survivor_fraction: 0.04,
-            mean_scalar_words: 10,
-            array_fraction: 0.15,
-            mean_array_len: 32,
-            large_fraction: 0.0,
-            mutations_per_alloc: 0.4,
-            reads_per_alloc: 3.0,
-        },
-        // _213_javac: compiler — linked ASTs with real medium lifetimes.
-        BenchmarkSpec {
-            name: "_213_javac",
-            paper_total_alloc: 181_468_984,
-            paper_min_heap: 19_922_944,
-            immortal_bytes: 3 << 20,
-            live_window_bytes: 7 << 20,
-            survivor_fraction: 0.15,
-            mean_scalar_words: 9,
-            array_fraction: 0.12,
-            mean_array_len: 24,
-            large_fraction: 0.001,
-            mutations_per_alloc: 0.8,
-            reads_per_alloc: 1.0,
-        },
-        // _228_jack: parser generator — short-lived token objects.
-        BenchmarkSpec {
-            name: "_228_jack",
-            paper_total_alloc: 250_486_124,
-            paper_min_heap: 11_534_336,
-            immortal_bytes: 2 << 20,
-            live_window_bytes: 5 << 20 >> 1, // 2.5 MB
-            survivor_fraction: 0.04,
-            mean_scalar_words: 7,
-            array_fraction: 0.10,
-            mean_array_len: 20,
-            large_fraction: 0.0,
-            mutations_per_alloc: 0.4,
-            reads_per_alloc: 0.7,
-        },
-        // DaCapo ipsixql: XML queries — allocation-heavy, short-lived.
-        BenchmarkSpec {
-            name: "ipsixql",
-            paper_total_alloc: 350_889_840,
-            paper_min_heap: 11_534_336,
-            immortal_bytes: 2 << 20,
-            live_window_bytes: 5 << 20 >> 1,
-            survivor_fraction: 0.03,
-            mean_scalar_words: 8,
-            array_fraction: 0.15,
-            mean_array_len: 28,
-            large_fraction: 0.0005,
-            mutations_per_alloc: 0.4,
-            reads_per_alloc: 0.8,
-        },
-        // DaCapo jython: interpreter — the heaviest allocator of the suite.
-        BenchmarkSpec {
-            name: "jython",
-            paper_total_alloc: 770_632_824,
-            paper_min_heap: 11_534_336,
-            immortal_bytes: 2 << 20,
-            live_window_bytes: 5 << 20 >> 1,
-            survivor_fraction: 0.02,
-            mean_scalar_words: 7,
-            array_fraction: 0.12,
-            mean_array_len: 16,
-            large_fraction: 0.0,
-            mutations_per_alloc: 0.6,
-            reads_per_alloc: 0.6,
-        },
-        // pseudoJBB: "initially allocates a few immortal objects and then
-        // allocates only short-lived objects" (§5.3.2) — warehouse data
-        // plus transaction churn. The only benchmark with a significant
-        // footprint (§5).
-        BenchmarkSpec {
-            name: "pseudoJBB",
-            paper_total_alloc: 233_172_290,
-            paper_min_heap: 35_651_584,
-            immortal_bytes: 16 << 20,
-            live_window_bytes: 6 << 20,
-            survivor_fraction: 0.15,
-            mean_scalar_words: 10,
-            array_fraction: 0.20,
-            mean_array_len: 48,
-            large_fraction: 0.0008,
-            mutations_per_alloc: 0.6,
-            reads_per_alloc: 0.4,
-        },
-    ]
+    TABLE1.to_vec()
 }
 
 /// Looks a benchmark up by name.
 pub fn spec(name: &str) -> Option<BenchmarkSpec> {
-    table1().into_iter().find(|b| b.name == name)
+    TABLE1.iter().find(|b| b.name == name).copied()
 }
 
 #[cfg(test)]

@@ -2,10 +2,11 @@
 //! a [`BenchmarkSpec`].
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use heap::{AllocKind, GcHeap, Handle, MemCtx, OutOfMemory};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 use simulate::{Program, ProgramStatus};
 
 use crate::spec::BenchmarkSpec;
@@ -13,6 +14,95 @@ use crate::spec::BenchmarkSpec;
 /// Allocations per engine step (bounded so the engine can interleave
 /// processes and pump the VMM).
 const BATCH: usize = 256;
+
+/// `random::<f64>()` is `k * 2^-53` for the uniform integer
+/// `k = next_u64() >> 11`, so it takes exactly this many values.
+const F64_DRAWS: f64 = (1u64 << 53) as f64;
+
+/// The threshold `t` for which `(next_u64() >> 11) < t` is exactly
+/// `random::<f64>() < p`.
+///
+/// `k * 2^-53` and `p * 2^53` are both exact (a power-of-two scaling of a
+/// value with at most 53 significant bits), so `k * 2^-53 < p` iff
+/// `k < p * 2^53` iff, `k` being an integer, `k < ceil(p * 2^53)`. The
+/// saturating cast covers the edges: `p <= 0` and NaN give 0 (never),
+/// `p >= 1` gives at least `2^53` (always).
+fn chance(p: f64) -> u64 {
+    (p * F64_DRAWS).ceil() as u64
+}
+
+/// One Bernoulli trial against a [`chance`] threshold. Consumes exactly the
+/// one `next_u64` that `random::<f64>()` would.
+#[inline]
+fn hit(rng: &mut StdRng, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
+}
+
+/// A per-allocation activity rate `r` (mutations, reads): with probability
+/// `fract(r)` — always, once `r >= 1` — do `min(trunc(r) + 1, 4)` of them.
+/// The trial is drawn even when its outcome is certain.
+#[derive(Clone, Copy, Debug)]
+struct Rate {
+    threshold: u64,
+    count: usize,
+}
+
+impl Rate {
+    fn new(per_alloc: f64) -> Rate {
+        Rate {
+            threshold: chance(if per_alloc >= 1.0 {
+                1.0
+            } else {
+                per_alloc.fract()
+            }),
+            count: (per_alloc as usize + 1).min(4),
+        }
+    }
+}
+
+/// Everything [`SyntheticProgram`] needs from its [`BenchmarkSpec`], worked
+/// out once: each probability as an integer threshold, each size range with
+/// its clamps applied. Nothing here changes which random draws are made or
+/// in what order; it only removes the per-allocation arithmetic on
+/// constants.
+#[derive(Clone, Debug)]
+struct Plan {
+    /// `None` when the spec has no large objects: that trial is then not
+    /// drawn at all.
+    large: Option<u64>,
+    array: u64,
+    /// Array lengths; the range starts at 1 or above.
+    array_len: Range<u32>,
+    /// Of arrays, the share holding references.
+    ref_array: u64,
+    scalar_words: Range<u16>,
+    survivor: u64,
+    mutations: Rate,
+    /// Of mutations, the share storing null.
+    clear: u64,
+    reads: Rate,
+    /// Reads favour the immortal working set 2:1.
+    read_immortal: u64,
+}
+
+impl Plan {
+    fn new(spec: &BenchmarkSpec) -> Plan {
+        let array_mean = spec.mean_array_len.max(2);
+        let scalar_mean = spec.mean_scalar_words.max(3);
+        Plan {
+            large: (spec.large_fraction > 0.0).then(|| chance(spec.large_fraction)),
+            array: chance(spec.array_fraction),
+            array_len: array_mean / 2..array_mean * 2,
+            ref_array: chance(0.3),
+            scalar_words: scalar_mean / 2..scalar_mean * 2,
+            survivor: chance(spec.survivor_fraction),
+            mutations: Rate::new(spec.mutations_per_alloc),
+            clear: chance(0.2),
+            reads: Rate::new(spec.reads_per_alloc),
+            read_immortal: chance(0.67),
+        }
+    }
+}
 
 /// One live object the program is holding.
 #[derive(Clone, Copy, Debug)]
@@ -27,8 +117,8 @@ struct Held {
 /// [crate docs](crate) for the modelling rationale.
 #[derive(Debug)]
 pub struct SyntheticProgram {
-    spec: BenchmarkSpec,
-    name: String,
+    plan: Plan,
+    name: &'static str,
     rng: StdRng,
     /// Bytes left to allocate.
     remaining: u64,
@@ -67,7 +157,8 @@ impl SyntheticProgram {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         let total = (spec.paper_total_alloc as f64 * scale) as u64;
         SyntheticProgram {
-            name: spec.name.to_string(),
+            plan: Plan::new(&spec),
+            name: spec.name,
             rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
             remaining: total,
             total,
@@ -78,41 +169,30 @@ impl SyntheticProgram {
             window_bytes: 0,
             window_target: (spec.live_window_bytes as f64 * scale) as u64,
             counts: AllocCounts::default(),
-            spec,
         }
     }
 
     /// Draws an allocation kind from the spec's distributions.
     fn draw_kind(&mut self) -> AllocKind {
-        if self.spec.large_fraction > 0.0 && self.rng.random::<f64>() < self.spec.large_fraction {
+        if self.plan.large.is_some_and(|t| hit(&mut self.rng, t)) {
             // A large object: 2–6 pages.
             let len = self.rng.random_range(2_100..6_000);
             return AllocKind::DataArray { len };
         }
-        if self.rng.random::<f64>() < self.spec.array_fraction {
-            let mean = self.spec.mean_array_len.max(2);
-            let len = self.rng.random_range(mean / 2..mean * 2).max(1);
-            if self.rng.random::<f64>() < 0.3 {
+        if hit(&mut self.rng, self.plan.array) {
+            let len = self.rng.random_range(self.plan.array_len.clone());
+            if hit(&mut self.rng, self.plan.ref_array) {
                 AllocKind::RefArray { len }
             } else {
                 AllocKind::DataArray { len }
             }
         } else {
-            let mean = self.spec.mean_scalar_words.max(3);
-            let words = self.rng.random_range(mean / 2..mean * 2).max(2);
+            let words = self.rng.random_range(self.plan.scalar_words.clone()).max(2);
             let refs = self.rng.random_range(1..=words.min(4));
             AllocKind::Scalar {
                 data_words: words,
                 num_refs: refs,
             }
-        }
-    }
-
-    fn ref_slots(kind: AllocKind) -> u32 {
-        match kind {
-            AllocKind::Scalar { num_refs, .. } => num_refs as u32,
-            AllocKind::RefArray { len } => len,
-            AllocKind::DataArray { .. } => 0,
         }
     }
 
@@ -147,7 +227,7 @@ impl SyntheticProgram {
         let dst = pick(&mut self.rng, &self.window, &self.immortal);
         if src.ref_slots > 0 {
             let field = self.rng.random_range(0..src.ref_slots);
-            let clear = self.rng.random::<f64>() < 0.2;
+            let clear = hit(&mut self.rng, self.plan.clear);
             gc.write_ref(ctx, src.handle, field, (!clear).then_some(dst.handle));
         }
     }
@@ -156,7 +236,7 @@ impl SyntheticProgram {
         // Reads favour the immortal working set (2:1), as a real
         // application's hot data would.
         let use_immortal = !self.immortal.is_empty()
-            && (self.window.is_empty() || self.rng.random::<f64>() < 0.67);
+            && (self.window.is_empty() || hit(&mut self.rng, self.plan.read_immortal));
         let held = if use_immortal {
             self.immortal[self.rng.random_range(0..self.immortal.len())]
         } else if !self.window.is_empty() {
@@ -175,9 +255,10 @@ impl SyntheticProgram {
         ctx: &mut MemCtx<'_>,
     ) -> Result<(), OutOfMemory> {
         let kind = self.draw_kind();
-        let bytes = kind.size_bytes();
+        let shape = kind.object_kind();
+        let bytes = shape.size_bytes();
         self.counts.total += 1;
-        if kind.object_kind().is_array() {
+        if shape.is_array() {
             self.counts.arrays += 1;
         }
         if bytes > heap::MAX_SMALL_OBJECT_BYTES {
@@ -189,7 +270,7 @@ impl SyntheticProgram {
         let handle = gc.alloc(ctx, kind)?;
         let held = Held {
             handle,
-            ref_slots: Self::ref_slots(kind),
+            ref_slots: shape.num_ref_fields(),
             bytes,
         };
         self.remaining = self.remaining.saturating_sub(bytes as u64);
@@ -199,7 +280,7 @@ impl SyntheticProgram {
             self.immortal.push(held);
             return Ok(());
         }
-        if self.rng.random::<f64>() < self.spec.survivor_fraction {
+        if hit(&mut self.rng, self.plan.survivor) {
             self.counts.survivors += 1;
             self.link_from_window(gc, ctx, &held);
             self.window.push_back(held);
@@ -215,19 +296,13 @@ impl SyntheticProgram {
             gc.drop_handle(held.handle);
         }
         // Mutations and reads, per the spec's rates.
-        if self.rng.random::<f64>() < self.spec.mutations_per_alloc.fract()
-            || self.spec.mutations_per_alloc >= 1.0
-        {
-            let n = self.spec.mutations_per_alloc as usize + 1;
-            for _ in 0..n.min(4) {
+        if hit(&mut self.rng, self.plan.mutations.threshold) {
+            for _ in 0..self.plan.mutations.count {
                 self.random_mutation(gc, ctx);
             }
         }
-        if self.rng.random::<f64>() < self.spec.reads_per_alloc.fract()
-            || self.spec.reads_per_alloc >= 1.0
-        {
-            let n = self.spec.reads_per_alloc as usize + 1;
-            for _ in 0..n.min(4) {
+        if hit(&mut self.rng, self.plan.reads.threshold) {
+            for _ in 0..self.plan.reads.count {
                 self.random_read(gc, ctx);
             }
         }
@@ -261,7 +336,7 @@ impl Program for SyntheticProgram {
     }
 
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn progress(&self) -> f64 {
@@ -338,6 +413,119 @@ mod tests {
         // through a raw engine instead.
         assert_eq!(p.held_bytes(), 0);
         assert!(p.progress() < 1e-9);
+    }
+}
+
+/// [`chance`]/[`hit`] against the float trial they replace, which is
+/// `rand`'s own `random::<f64>() < p`, not a copy of it.
+#[cfg(test)]
+mod chance_tests {
+    use super::*;
+    use crate::spec::table1;
+    use proptest::prelude::*;
+
+    /// An RNG whose next word is fixed, to put `random::<f64>()` on a chosen
+    /// `k = word >> 11`.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    const LAST_K: u64 = (1 << 53) - 1;
+
+    /// Both forms agree at the threshold's neighbours and the ends of the
+    /// range, and on 10^4 draws of a real generator, each consuming one
+    /// word.
+    fn agrees_with_the_float_trial(p: f64) {
+        let t = chance(p);
+        for k in [0, t.saturating_sub(1), t, t.saturating_add(1), LAST_K] {
+            let k = k.min(LAST_K);
+            assert_eq!(
+                k < t,
+                Fixed(k << 11).random::<f64>() < p,
+                "p = {p:e} (threshold {t}) at k = {k}"
+            );
+        }
+        let mut ints = StdRng::seed_from_u64(p.to_bits());
+        let mut floats = ints.clone();
+        for _ in 0..10_000 {
+            assert_eq!(hit(&mut ints, t), floats.random::<f64>() < p, "p = {p:e}");
+        }
+        assert_eq!(ints.next_u64(), floats.next_u64(), "one word per trial");
+    }
+
+    #[test]
+    fn every_probability_the_generator_uses() {
+        let mut ps = vec![
+            0.0,
+            1.0,
+            0.2,
+            0.3,
+            0.67,
+            f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            f64::NAN,
+            -1.0,
+            2.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for b in table1() {
+            ps.extend([
+                b.survivor_fraction,
+                b.array_fraction,
+                b.large_fraction,
+                b.mutations_per_alloc.fract(),
+                b.reads_per_alloc.fract(),
+            ]);
+        }
+        for p in ps {
+            agrees_with_the_float_trial(p);
+        }
+    }
+
+    #[test]
+    fn the_edges_are_never_and_always() {
+        for never in [0.0, -0.0, -1.0, f64::NAN, f64::NEG_INFINITY] {
+            assert_eq!(chance(never), 0, "{never}");
+        }
+        for always in [1.0, 2.0, f64::INFINITY] {
+            assert!(chance(always) > LAST_K, "{always}");
+        }
+        assert_eq!(chance(f64::EPSILON), 2);
+        assert_eq!(chance(1.0 - f64::EPSILON / 2.0), LAST_K);
+    }
+
+    #[test]
+    fn a_rate_is_the_fract_trial_or_certain() {
+        for (per_alloc, threshold, count) in [
+            (0.0, 0, 1),
+            (0.2, chance(0.2), 1),
+            (1.0, 1 << 53, 2),
+            (1.5, 1 << 53, 2),
+            (3.0, 1 << 53, 4),
+            (7.25, 1 << 53, 4),
+        ] {
+            let r = Rate::new(per_alloc);
+            assert_eq!((r.threshold, r.count), (threshold, count), "{per_alloc}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Uniform `p` in `[0, 1)` on the generator's own grid, and raw bit
+        /// patterns (subnormals, huge values, NaNs, negatives).
+        #[test]
+        fn random_probabilities(bits in any::<u64>()) {
+            agrees_with_the_float_trial((bits >> 11) as f64 / F64_DRAWS);
+            agrees_with_the_float_trial(f64::from_bits(bits));
+        }
     }
 }
 

@@ -116,9 +116,10 @@ const REQUIRED_COLD: &[(&str, &str)] = &[
     ("crates/telemetry/src/tracer.rs", "record"),
 ];
 
-/// The charged-access path, which must keep `#[inline]` link by link: with
-/// no LTO the attribute is the only thing that lets `collectors` reach a
-/// page's words without a call (file suffix, fn name).
+/// Functions that must keep `#[inline]`: with no LTO the attribute is the
+/// only thing that lets another crate use them without a call (file
+/// suffix, fn name). First the charged-access path, link by link, from
+/// `collectors` down to a page's words.
 const REQUIRED_INLINE: &[(&str, &str)] = &[
     ("crates/vmm/src/vmm.rs", "touch"),
     ("crates/heap/src/ctx.rs", "touch"),
@@ -139,15 +140,39 @@ const REQUIRED_INLINE: &[(&str, &str)] = &[
     ("crates/heap/src/gc.rs", "push_refs"),
     ("crates/heap/src/gc.rs", "init_object"),
     ("crates/heap/src/gc.rs", "copy_object"),
+    // The allocation-shape helpers and the handle table: one call or more
+    // per mutator operation from `workloads` and every collector
+    // (DESIGN.md §10.8).
+    ("crates/heap/src/api.rs", "object_kind"),
+    ("crates/heap/src/api.rs", "size_bytes"),
+    ("crates/heap/src/object.rs", "scalar"),
+    ("crates/heap/src/object.rs", "is_array"),
+    ("crates/heap/src/roots.rs", "get"),
+    ("crates/heap/src/roots.rs", "add"),
+    ("crates/heap/src/roots.rs", "set"),
+    ("crates/heap/src/roots.rs", "remove"),
 ];
 
 /// Removed-API tokens that must not reappear (token, replacement hint).
 /// Tokens are spelled split so this file never contains them itself.
 fn dead_tokens() -> Vec<(String, &'static str)> {
-    vec![(
-        ["take_", "events"].concat(),
-        "drain the mailbox with Vmm::drain_events_into / discard_events",
-    )]
+    vec![
+        (
+            ["take_", "events"].concat(),
+            "drain the mailbox with Vmm::drain_events_into / discard_events",
+        ),
+        // The Vec-returning Core method, as a definition and at a call
+        // site; `access_equivalence.rs` keeps a private reference copy
+        // (`fn`, not `pub fn`, called on `reference`).
+        (
+            ["pub fn scan_", "refs("].concat(),
+            "scan into a reused buffer with Core::scan_refs_into",
+        ),
+        (
+            ["core.scan_", "refs("].concat(),
+            "scan into a reused buffer with Core::scan_refs_into",
+        ),
+    ]
 }
 
 /// Strips `//` comments, `/* */` comments, and the *contents* of string
@@ -342,8 +367,8 @@ const COLD_RULE: AttrRule = AttrRule {
 const INLINE_RULE: AttrRule = AttrRule {
     attrs: &["#[inline]", "#[inline(always)]"],
     rule: "inline-registry",
-    why: "is on the charged-access path and must keep #[inline]: there is no LTO to \
-          fall back on (see DESIGN.md §10.2)",
+    why: "is called across crates per access or per allocation and must keep \
+          #[inline]: there is no LTO to fall back on (see DESIGN.md §10.2, §10.8)",
 };
 
 /// Checks that `fn name` in this file carries one of `rule.attrs` among

@@ -7,7 +7,7 @@ use heap::object::HEADER_BYTES;
 use heap::{
     Address, AllocKind, BlockKind, BumpSpace, CardTable, Classified, CollectKind, GcHeap, GcStats,
     Handle, Header, HeapConfig, LargeObjectSpace, MemCtx, MsSpace, OutOfMemory, ShadowSpec,
-    WriteBuffer, BYTES_PER_PAGE, WORD,
+    SimMemory, WriteBuffer, WORD,
 };
 use simtime::{PauseKind, PauseLog};
 use telemetry::{EventKind, GcPhase, Tracer};
@@ -261,21 +261,12 @@ impl Bookmarking {
     /// as resident (their collections fault like any other collector's).
     #[inline]
     pub(crate) fn object_resident(&self, addr: Address) -> bool {
-        // Nothing evicted (every run without memory pressure): every object
-        // is resident, and its header need not be read to learn its extent.
-        if !self.options.bookmarking || !self.residency.any_evicted() {
-            return true;
-        }
-        if !self.residency.page_resident(addr.page()) {
-            return false;
-        }
-        // Header page is resident: the size can be read without faulting.
-        let (w0, w1) = self.core.mem.read_pair(addr);
-        let size = match Header::decode_forwarded(w0, w1) {
-            Ok(h) => h.kind.size_bytes(),
-            Err(_) => return true, // forwarding stubs are header-only
-        };
-        self.residency.range_resident(addr, size)
+        object_resident_in(
+            self.options.bookmarking,
+            &self.residency,
+            &self.core.mem,
+            addr,
+        )
     }
 
     // ----- charged access that pumps paging events ----------------------
@@ -298,15 +289,14 @@ impl Bookmarking {
 
     // ----- sizing --------------------------------------------------------
 
+    /// GenMS's rule: what the budget leaves outside the nursery (no copy
+    /// reserve — promotion fills swept cells).
     fn free_minus_reserve(&self) -> u32 {
-        let budget = self.core.pool.budget_bytes() as u64;
-        let non_nursery = self
+        let free = self
             .core
             .pool
-            .used()
-            .saturating_sub(self.nursery.extent_pages()) as u64
-            * BYTES_PER_PAGE as u64;
-        budget.saturating_sub(non_nursery).min(u32::MAX as u64) as u32
+            .bytes_free_outside(self.nursery.extent_pages());
+        free.min(u32::MAX as u64) as u32
     }
 
     pub(crate) fn recompute_nursery_limit(&mut self) {
@@ -315,7 +305,10 @@ impl Bookmarking {
 
     // ----- allocation ----------------------------------------------------
 
-    fn alloc_raw(&mut self, kind: AllocKind) -> Option<Address> {
+    // Eight call sites (seven on the slow path): the hint alone leaves a
+    // call on the allocation fast path.
+    #[inline(always)]
+    pub(crate) fn alloc_raw(&mut self, kind: AllocKind) -> Option<Address> {
         let size = kind.size_bytes();
         if is_large(kind) {
             return self.los.alloc(&mut self.core.pool, size);
@@ -344,23 +337,8 @@ impl Bookmarking {
 
     /// Copies a nursery survivor into a mature cell (promotion).
     pub(crate) fn promote(&mut self, ctx: &mut MemCtx<'_>, obj: Address, h: Header) -> Address {
-        let size = h.kind.size_bytes();
-        let class = self
-            .ms
-            .classes()
-            .class_for(size)
-            .expect("nursery object fits a cell")
-            .index;
-        let bk = if h.kind.is_array() {
-            BlockKind::Array
-        } else {
-            BlockKind::Scalar
-        };
-        let new = self
-            .ms
-            .alloc_forced(&mut self.core.pool, class, bk)
-            .expect("mature region exhausted");
-        self.core.copy_object(ctx, obj, new, size);
+        let new = self.ms.alloc_survivor(&mut self.core.pool, h.kind);
+        self.core.copy_object(ctx, obj, new, h.kind.size_bytes());
         new
     }
 
@@ -643,42 +621,29 @@ impl Bookmarking {
         }
     }
 
-    /// Frees unmarked *resident* cells; evicted cells are preserved
-    /// unexamined ("a sweep of the memory-resident pages completes the
-    /// collection", §3.4.1).
-    pub(crate) fn sweep_resident(&mut self, ctx: &mut MemCtx<'_>) {
-        let mut dead = std::mem::take(self.core.sweep_scratch());
-        for sp in self.ms.assigned_sps() {
-            dead.clear();
-            for cell in self.ms.allocated_cells_iter(sp) {
-                if !self.object_resident(cell) {
-                    continue;
-                }
-                if self.core.is_marked(ctx, cell) {
-                    self.core.clear_mark(ctx, cell);
-                } else {
-                    dead.push(cell);
-                }
-            }
-            for &cell in &dead {
-                let _ = self.ms.free_cell(&mut self.core.pool, cell);
-            }
-            if !dead.is_empty() && self.ms.info(sp).assignment.is_some() {
-                self.ms.note_partial(sp);
-            }
-        }
-        *self.core.sweep_scratch() = dead;
-        for (obj, _pages) in self.los.objects() {
-            if self.core.is_marked(ctx, obj) {
-                self.core.clear_mark(ctx, obj);
-            } else {
-                debug_assert!(
-                    !self.los_incoming.contains_key(&obj.0),
-                    "bookmarked LOS object was not rooted"
-                );
-                let _ = self.los.free(&mut self.core.pool, obj);
-            }
-        }
+    /// Frees unmarked *resident* cells and large objects; evicted cells are
+    /// preserved unexamined ("a sweep of the memory-resident pages completes
+    /// the collection", §3.4.1). `keep_marks` is compaction's variant (see
+    /// [`Core::sweep`]).
+    pub(crate) fn sweep_resident(&mut self, ctx: &mut MemCtx<'_>, keep_marks: bool) {
+        // A large object a full collection is about to free has no incoming
+        // bookmark: the bookmark root scan marked every one that does.
+        debug_assert!(
+            keep_marks
+                || self.los_incoming.keys().all(|&a| {
+                    !self.los.is_live_object(Address(a))
+                        || Header::is_marked(self.core.mem.read_word(Address(a)))
+                }),
+            "bookmarked LOS object was not rooted"
+        );
+        let (bookmarking, residency) = (self.options.bookmarking, &self.residency);
+        self.core.sweep(
+            ctx,
+            Some(&mut self.ms),
+            &mut self.los,
+            |mem, cell| object_resident_in(bookmarking, residency, mem, cell),
+            keep_marks,
+        );
     }
 
     pub(crate) fn major_gc(&mut self, ctx: &mut MemCtx<'_>) {
@@ -709,7 +674,7 @@ impl Bookmarking {
             self.sanitize_shadow("after-trace", "collected nursery", true);
         }
         self.core.phase_begin(ctx, GcPhase::Sweep);
-        self.sweep_resident(ctx);
+        self.sweep_resident(ctx, false);
         let _ = self.nursery.release_all(&mut self.core.pool);
         self.core.phase_end(ctx, GcPhase::Sweep);
         if self.core.sanitize_full() {
@@ -785,6 +750,32 @@ impl Bookmarking {
             }
         }
     }
+}
+
+/// [`Bookmarking::object_resident`] over the residency state alone, so it
+/// can filter a sweep that holds the core mutably.
+#[inline]
+fn object_resident_in(
+    bookmarking: bool,
+    residency: &ResidencyMap,
+    mem: &SimMemory,
+    addr: Address,
+) -> bool {
+    // Nothing evicted (every run without memory pressure): every object
+    // is resident, and its header need not be read to learn its extent.
+    if !bookmarking || !residency.any_evicted() {
+        return true;
+    }
+    if !residency.page_resident(addr.page()) {
+        return false;
+    }
+    // Header page is resident: the size can be read without faulting.
+    let (w0, w1) = mem.read_pair(addr);
+    let size = match Header::decode_forwarded(w0, w1) {
+        Ok(h) => h.kind.size_bytes(),
+        Err(_) => return true, // forwarding stubs are header-only
+    };
+    residency.range_resident(addr, size)
 }
 
 impl Forwarder for Bookmarking {

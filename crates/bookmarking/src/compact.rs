@@ -16,6 +16,7 @@ use crate::collector::{Bookmarking, Phase};
 impl Bookmarking {
     /// The allocation slow path: nursery collection, full collection,
     /// compaction (§3.2), fail-safe (§3.5), and finally out-of-memory.
+    #[cold]
     pub(crate) fn alloc_slow(
         &mut self,
         ctx: &mut MemCtx<'_>,
@@ -28,18 +29,18 @@ impl Bookmarking {
             CollectKind::Minor
         };
         self.collect(ctx, kind_hint);
-        if let Some(a) = self.alloc_raw_public(kind) {
+        if let Some(a) = self.alloc_raw_fresh(kind) {
             return Ok(a);
         }
         self.major_gc(ctx);
-        if let Some(a) = self.alloc_raw_public(kind) {
+        if let Some(a) = self.alloc_raw_fresh(kind) {
             return Ok(a);
         }
         // "BC performs a two-pass compacting collection whenever a full
         // garbage collection does not free enough pages to satisfy the
         // current allocation request" (§3.2).
         self.compact_gc(ctx);
-        if let Some(a) = self.alloc_raw_public(kind) {
+        if let Some(a) = self.alloc_raw_fresh(kind) {
             return Ok(a);
         }
         // "In the event that the heap is exhausted, BC preserves
@@ -48,11 +49,11 @@ impl Bookmarking {
         if self.options.bookmarking && self.residency.any_evicted() {
             self.failsafe_restore(ctx);
             self.major_gc(ctx);
-            if let Some(a) = self.alloc_raw_public(kind) {
+            if let Some(a) = self.alloc_raw_fresh(kind) {
                 return Ok(a);
             }
             self.compact_gc(ctx);
-            if let Some(a) = self.alloc_raw_public(kind) {
+            if let Some(a) = self.alloc_raw_fresh(kind) {
                 return Ok(a);
             }
         }
@@ -74,11 +75,11 @@ impl Bookmarking {
             );
             debug_assert!(grown);
             self.recompute_nursery_limit();
-            if let Some(a) = self.alloc_raw_public(kind) {
+            if let Some(a) = self.alloc_raw_fresh(kind) {
                 return Ok(a);
             }
             self.major_gc(ctx);
-            if let Some(a) = self.alloc_raw_public(kind) {
+            if let Some(a) = self.alloc_raw_fresh(kind) {
                 return Ok(a);
             }
         }
@@ -87,22 +88,13 @@ impl Bookmarking {
         })
     }
 
-    /// `alloc_raw` for use from this module (kept private to the collector
-    /// module otherwise).
-    fn alloc_raw_public(&mut self, kind: AllocKind) -> Option<Address> {
-        let size = kind.size_bytes();
-        if is_large(kind) {
-            return self.los.alloc(&mut self.core.pool, size);
+    /// `alloc_raw` against a nursery limit recomputed from the heap as the
+    /// last collection left it (large objects do not consult the limit).
+    fn alloc_raw_fresh(&mut self, kind: AllocKind) -> Option<Address> {
+        if !is_large(kind) {
+            self.recompute_nursery_limit();
         }
-        self.recompute_nursery_limit();
-        if self.nursery.used_bytes() + size > self.nursery_limit {
-            return None;
-        }
-        let a = self.nursery.alloc(&mut self.core.pool, size);
-        if a.is_some() {
-            self.raise_discard_frontier();
-        }
-        a
+        self.alloc_raw(kind)
     }
 
     // ----- compaction (§3.2 + §3.4.1) ------------------------------------
@@ -134,7 +126,7 @@ impl Bookmarking {
         forward_roots(self, ctx);
         drain_gray(self, ctx);
         // Sweep garbage but keep marks for pass 2's in-place liveness.
-        self.sweep_keep_marks(ctx);
+        self.sweep_resident(ctx, true);
         // ---- Select targets.
         self.select_compact_targets();
         self.core.phase_end(ctx, GcPhase::CompactPass1);
@@ -207,32 +199,6 @@ impl Bookmarking {
             expect_marked: &|_| false,
         };
         self.core.sanitize_shadow_trace(&spec);
-    }
-
-    /// Frees unmarked resident cells and large objects, preserving marks on
-    /// the survivors.
-    fn sweep_keep_marks(&mut self, ctx: &mut MemCtx<'_>) {
-        let mut dead = std::mem::take(self.core.sweep_scratch());
-        for sp in self.ms.assigned_sps() {
-            dead.clear();
-            for cell in self.ms.allocated_cells_iter(sp) {
-                if !self.object_resident(cell) {
-                    continue;
-                }
-                if !self.core.is_marked(ctx, cell) {
-                    dead.push(cell);
-                }
-            }
-            for &cell in &dead {
-                let _ = self.ms.free_cell(&mut self.core.pool, cell);
-            }
-        }
-        *self.core.sweep_scratch() = dead;
-        for (obj, _pages) in self.los.objects() {
-            if !self.core.is_marked(ctx, obj) {
-                let _ = self.los.free(&mut self.core.pool, obj);
-            }
-        }
     }
 
     /// Chooses the compaction targets (§3.2/§3.4.1).
@@ -355,20 +321,9 @@ impl Bookmarking {
                     }
                     obj
                 } else {
-                    let size = h.kind.size_bytes();
-                    let class = self
-                        .ms
-                        .classes()
-                        .class_for(size)
-                        .expect("cell-sized object")
-                        .index;
-                    let bk = if h.kind.is_array() {
-                        BlockKind::Array
-                    } else {
-                        BlockKind::Scalar
-                    };
+                    let (class, bk) = self.ms.placement(h.kind);
                     let new = self.alloc_on_target(class, bk);
-                    self.core.copy_object(ctx, obj, new, size);
+                    self.core.copy_object(ctx, obj, new, h.kind.size_bytes());
                     self.core.queue.push(new);
                     new
                 }

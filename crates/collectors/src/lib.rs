@@ -1,15 +1,24 @@
 //! The baseline garbage collectors of *Garbage Collection Without Paging*.
 //!
 //! The paper evaluates the bookmarking collector against five collectors
-//! shipped with Jikes RVM / MMTk (§5):
+//! shipped with Jikes RVM / MMTk (§5). In MMTk they are compositions of the
+//! same few spaces, and so they are here: one generic [`Plan`] — a single
+//! allocation ladder, write barrier, forwarding rule and collection driver —
+//! over a [`Young`] generation and a [`Mature`] space, with the large
+//! object space common to all. The five are the cells of a 2 × 2 matrix
+//! plus one switch:
 //!
-//! | Collector | Structure |
-//! |-----------|-----------|
-//! | [`MarkSweep`]  | whole-heap, segregated-fit free lists |
-//! | [`SemiSpace`]  | whole-heap copying with a 2× copy reserve |
-//! | [`GenCopy`]    | Appel generational, copying mature space |
-//! | [`GenMs`]      | Appel generational, mark-sweep mature space |
-//! | [`CopyMs`]     | "a variant of GenMS which performs only whole-heap garbage collections" |
+//! | | [`MsSpace`] (mark in place, sweep) | [`CopyMature`] (evacuate, flip) |
+//! |---|---|---|
+//! | [`NoNursery`] | [`MarkSweep`]: whole-heap, segregated-fit free lists | [`SemiSpace`]: whole-heap copying, 2× copy reserve |
+//! | [`GenNursery`] | [`GenMs`]: Appel generational, mark-sweep mature | [`GenCopy`]: Appel generational, copying mature |
+//! | [`CopyNursery`] | [`CopyMs`]: "a variant of GenMS which performs only whole-heap garbage collections" | — |
+//!
+//! [`CopyNursery`] is [`GenNursery`] with nursery collections switched off:
+//! no barrier, no remembered set, half of free space as its limit. What a
+//! cell pins beyond its two axes (its name, how its full pause is logged,
+//! the sanitizer's labels) is its [`Cell`] entry below; a new collector is a
+//! `Young` or `Mature` implementation, a `Cell` entry and an alias.
 //!
 //! The generational collectors also come in the fixed-size-nursery variants
 //! of §5.3.2 (4 MB nurseries) via
@@ -18,89 +27,82 @@
 //! All five are **VM-oblivious**: they never register for paging
 //! notifications and touch heap pages without regard to residency — the
 //! behaviour whose consequences the paper measures. They share the
-//! [`heap`] substrate (object model, spaces, roots, remsets) and implement
-//! the mutator-facing [`GcHeap`](heap::GcHeap) trait.
+//! [`heap`] substrate (object model, spaces, roots, the tracing loop, the
+//! sweep) and implement the mutator-facing [`GcHeap`](heap::GcHeap) trait.
 
 #![warn(missing_docs)]
 
-pub(crate) mod common;
-mod copyms;
-mod gencopy;
-mod genms;
-mod marksweep;
-mod semispace;
+mod mature;
+mod plan;
+mod young;
 
-pub use copyms::CopyMs;
-pub use gencopy::GenCopy;
-pub use genms::GenMs;
-pub use marksweep::MarkSweep;
-pub use semispace::SemiSpace;
+pub use mature::{CopyMature, Mature};
+pub use plan::{Cell, Plan};
+pub use young::{CopyNursery, GenNursery, NoNursery, Young};
 
-#[cfg(test)]
-pub(crate) mod testutil {
-    //! Helpers shared by the per-collector test modules.
+use heap::MsSpace;
+use simtime::PauseKind;
 
-    use heap::{AllocKind, GcHeap, Handle, MemCtx};
-    use simtime::{Clock, CostModel};
-    use vmm::{ProcessId, Vmm, VmmConfig};
+/// The paper's **MarkSweep** baseline: a single-generation, non-moving,
+/// free-list collector. Collection marks from the roots and then sweeps
+/// every allocated cell — touching every superpage in the heap, which is why
+/// MarkSweep "can take hours to complete" under paging (§5.3.1).
+pub type MarkSweep = Plan<NoNursery, MsSpace>;
 
-    /// A VMM + clock + registered process for driving a collector.
-    pub struct TestEnv {
-        pub vmm: Vmm,
-        pub clock: Clock,
-        pub pid: ProcessId,
-    }
+/// The paper's **SemiSpace** baseline: a single-generation copying
+/// collector with a 2× copy reserve. Large objects are mark-swept in the
+/// shared large object space.
+pub type SemiSpace = Plan<NoNursery, CopyMature>;
 
-    /// An environment with `memory_bytes` of physical memory (ample by
-    /// default so paging does not perturb algorithmic tests).
-    pub fn env(memory_bytes: usize) -> TestEnv {
-        let mut vmm = Vmm::new(
-            VmmConfig::builder().memory_bytes(memory_bytes).build(),
-            CostModel::default(),
-        );
-        let pid = vmm.register_process();
-        TestEnv {
-            vmm,
-            clock: Clock::new(),
-            pid,
-        }
-    }
+/// The paper's **GenCopy** baseline: an Appel-style generational collector
+/// with a bump-pointer nursery and a semispace-copying mature space.
+/// Nursery collections copy survivors into the mature from-space; full
+/// collections copy both generations into the mature to-space and flip.
+pub type GenCopy = Plan<GenNursery, CopyMature>;
 
-    /// A 3-word scalar whose first field links to the next node.
-    pub fn list_kind() -> AllocKind {
-        AllocKind::Scalar {
-            data_words: 3,
-            num_refs: 1,
-        }
-    }
+/// The paper's **GenMS** baseline: bump-pointer nursery, segregated-fit
+/// mark-sweep mature space (§5: "Appel-style generational collectors using
+/// bump-pointer and mark-sweep mature spaces").
+///
+/// GenMS "consistently provides high throughput" (§1) and is the collector
+/// BC is calibrated against in the no-pressure experiments; under pressure
+/// its full-heap collections touch every mature superpage and it suffers
+/// the paper's headline pathologies (pauses of seconds to minutes).
+pub type GenMs = Plan<GenNursery, MsSpace>;
 
-    /// Builds a singly linked list of `n` nodes, returning the rooted head.
-    pub fn make_list<G: GcHeap>(gc: &mut G, ctx: &mut MemCtx<'_>, n: usize, _tag: u32) -> Handle {
-        assert!(n >= 1);
-        let head = gc.alloc(ctx, list_kind()).expect("alloc list head");
-        let mut cur = gc.dup_handle(head);
-        for _ in 1..n {
-            let node = gc.alloc(ctx, list_kind()).expect("alloc list node");
-            gc.write_ref(ctx, cur, 0, Some(node));
-            gc.drop_handle(cur);
-            cur = node;
-        }
-        gc.drop_handle(cur);
-        head
-    }
+/// The paper's **CopyMS** baseline: allocation bumps through a copy space;
+/// every collection is a full-heap trace that evacuates copy-space survivors
+/// into the mark-sweep mature space and sweeps it.
+pub type CopyMs = Plan<CopyNursery, MsSpace>;
 
-    /// Walks a list built by [`make_list`], returning its length.
-    pub fn list_len<G: GcHeap>(gc: &mut G, ctx: &mut MemCtx<'_>, head: Handle) -> usize {
-        let mut len = 1;
-        let mut cur = gc.dup_handle(head);
-        while let Some(next) = gc.read_ref(ctx, cur, 0) {
-            gc.drop_handle(cur);
-            cur = next;
-            len += 1;
-        }
-        gc.drop_handle(cur);
-        len
-    }
+impl Cell for (NoNursery, MsSpace) {
+    const NAME: &'static str = names::MARK_SWEEP;
+    const FULL_PAUSE: PauseKind = PauseKind::Full;
+    const FULL_CONDEMNED: [&'static str; 2] = ["free space", "free space"];
+}
+
+impl Cell for (NoNursery, CopyMature) {
+    const NAME: &'static str = names::SEMI_SPACE;
+    const FULL_PAUSE: PauseKind = PauseKind::Compacting;
+    const FULL_CONDEMNED: [&'static str; 2] = ["unforwarded from-space ref", "released semispace"];
+}
+
+impl Cell for (GenNursery, CopyMature) {
+    const NAME: &'static str = names::GEN_COPY;
+    const FULL_PAUSE: PauseKind = PauseKind::Full;
+    const FULL_CONDEMNED: [&'static str; 2] = ["condemned space", "released space"];
+}
+
+impl Cell for (GenNursery, MsSpace) {
+    const NAME: &'static str = names::GEN_MS;
+    const FULL_PAUSE: PauseKind = PauseKind::Full;
+    const FULL_CONDEMNED: [&'static str; 2] = ["collected nursery", "swept space"];
+}
+
+impl Cell for (CopyNursery, MsSpace) {
+    const NAME: &'static str = names::COPY_MS;
+    const FULL_PAUSE: PauseKind = PauseKind::Full;
+    const FULL_CONDEMNED: [&'static str; 2] = ["collected copy space", "swept space"];
 }
 
 /// Convenience aliases matching the paper's collector names.

@@ -12,7 +12,9 @@
 use crate::addr::{Address, BYTES_PER_PAGE, WORD};
 use crate::api::{AllocKind, HeapConfig, NurseryPolicy};
 use crate::ctx::MemCtx;
+use crate::los::LargeObjectSpace;
 use crate::mem::SimMemory;
+use crate::ms::MsSpace;
 use crate::object::{Header, ObjectKind, HEADER_BYTES};
 use crate::packet::{Acquired, PacketQueue, PACKET_CAP};
 use crate::policy::{HeapSizePolicy, SizingDecision, SizingInput};
@@ -83,14 +85,6 @@ impl Core {
         }
     }
 
-    /// The reusable dead-cell scratch for sweep loops (worker 0's buffer in
-    /// the packet scheduler): collectors gather a superpage's unmarked
-    /// cells here (the mark checks run against an
-    /// [`MsSpace`](crate::MsSpace) iterator borrow), then free them.
-    pub fn sweep_scratch(&mut self) -> &mut Vec<Address> {
-        self.packets.sweep_scratch()
-    }
-
     /// Reads an object's header (charged).
     #[inline]
     pub fn header(&mut self, ctx: &mut MemCtx<'_>, obj: Address) -> Header {
@@ -146,7 +140,12 @@ impl Core {
 
     /// Initializes a fresh object: zeroes its cell, writes the header, and
     /// charges allocation cost.
-    #[inline]
+    ///
+    /// Always inlined: every collector's `alloc` ends here, and once several
+    /// of them are instantiated in one codegen unit (the five `Plan` aliases
+    /// are) the body no longer has the single caller that made a plain
+    /// `#[inline]` hint enough.
+    #[inline(always)]
     pub fn init_object(&mut self, ctx: &mut MemCtx<'_>, obj: Address, kind: ObjectKind) {
         let size = kind.size_bytes();
         ctx.touch(&mut self.mem, obj, size, Access::Write);
@@ -233,6 +232,64 @@ impl Core {
     #[inline]
     pub fn read_slot(&mut self, ctx: &mut MemCtx<'_>, slot: Address) -> Address {
         Address(ctx.read_word(&mut self.mem, slot))
+    }
+
+    /// The mark-sweep reclamation pass over a cell space (when the collector
+    /// has one) and the large object space: unmarked objects are freed,
+    /// marked ones survive.
+    ///
+    /// `examine(mem, cell)` selects the cells that are looked at; a cell it
+    /// rejects stays allocated, untouched. BC passes its residency test ("a
+    /// sweep of the memory-resident pages completes the collection",
+    /// §3.4.1), everyone else `|_, _| true`. Large objects are always
+    /// examined: a liveness check touches only their header page.
+    ///
+    /// `keep_marks` leaves the survivors marked and the partial lists alone —
+    /// BC's compaction sweeps between its two passes, reads liveness off the
+    /// marks in the second and chooses its own target superpages. Otherwise
+    /// the marks are cleared and every superpage that lost a cell is listed
+    /// as partial again.
+    pub fn sweep(
+        &mut self,
+        ctx: &mut MemCtx<'_>,
+        ms: Option<&mut MsSpace>,
+        los: &mut LargeObjectSpace,
+        examine: impl Fn(&SimMemory, Address) -> bool,
+        keep_marks: bool,
+    ) {
+        if let Some(ms) = ms {
+            // The mark checks run against an iterator borrow of `ms`, so a
+            // superpage's dead cells are gathered first and freed after.
+            let mut dead = std::mem::take(self.packets.sweep_scratch());
+            for sp in ms.assigned_sps() {
+                dead.clear();
+                for cell in ms.allocated_cells_iter(sp) {
+                    if !examine(&self.mem, cell) {
+                        continue;
+                    }
+                    if !self.is_marked(ctx, cell) {
+                        dead.push(cell);
+                    } else if !keep_marks {
+                        self.clear_mark(ctx, cell);
+                    }
+                }
+                for &cell in &dead {
+                    // The superpage may become empty and be released here.
+                    let _ = ms.free_cell(&mut self.pool, cell);
+                }
+                if !keep_marks && !dead.is_empty() && ms.info(sp).assignment.is_some() {
+                    ms.note_partial(sp);
+                }
+            }
+            *self.packets.sweep_scratch() = dead;
+        }
+        for (obj, _pages) in los.objects() {
+            if !self.is_marked(ctx, obj) {
+                let _ = los.free(&mut self.pool, obj);
+            } else if !keep_marks {
+                self.clear_mark(ctx, obj);
+            }
+        }
     }
 
     /// Starts a stop-the-world pause of the given kind; pair with

@@ -17,6 +17,7 @@
 use vmm::VirtPage;
 
 use crate::addr::{Address, BYTES_PER_PAGE, BYTES_PER_SUPERPAGE, PAGES_PER_SUPERPAGE};
+use crate::object::ObjectKind;
 use crate::pool::PagePool;
 use crate::sizeclass::{SizeClasses, SUPERPAGE_METADATA_BYTES};
 
@@ -188,6 +189,43 @@ impl MsSpace {
     /// The size-class table.
     pub fn classes(&self) -> &SizeClasses {
         self.classes
+    }
+
+    /// Where an object of shape `kind` is placed: its size class, and the
+    /// scalar or array half of the superpage segregation (§4).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object is too large for a cell (it belongs in the
+    /// large-object space).
+    #[inline]
+    pub fn placement(&self, kind: ObjectKind) -> (u8, BlockKind) {
+        let class = self
+            .classes
+            .class_for(kind.size_bytes())
+            .expect("object fits a cell")
+            .index;
+        let block = if kind.is_array() {
+            BlockKind::Array
+        } else {
+            BlockKind::Scalar
+        };
+        (class, block)
+    }
+
+    /// Allocates the cell a surviving object of shape `kind` is copied into
+    /// (promotion), overrunning the budget rather than failing: a collection
+    /// cannot stop halfway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object is too large for a cell or the address region
+    /// (not the budget) is exhausted.
+    #[inline]
+    pub fn alloc_survivor(&mut self, pool: &mut PagePool, kind: ObjectKind) -> Address {
+        let (class, block) = self.placement(kind);
+        self.alloc_forced(pool, class, block)
+            .expect("mature region exhausted")
     }
 
     fn partial_idx(class: u8, kind: BlockKind) -> usize {

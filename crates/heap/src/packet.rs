@@ -68,7 +68,7 @@ pub struct TraceScratch {
     /// [`Core::scan_refs_into`](crate::gc::Core::scan_refs_into).
     pub scan: Vec<(Address, Address)>,
     /// Reusable dead-cell buffer for sweep loops (worker 0's is the one
-    /// collectors borrow via [`Core::sweep_scratch`](crate::gc::Core::sweep_scratch)).
+    /// [`Core::sweep`](crate::gc::Core::sweep) borrows).
     pub sweep: Vec<Address>,
     /// Simulated time this worker spent tracing during the current drain.
     pub busy: Nanos,

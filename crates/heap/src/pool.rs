@@ -92,6 +92,15 @@ impl PagePool {
         self.budget * crate::BYTES_PER_PAGE as usize
     }
 
+    /// Budget bytes left once every page charged *outside* a space holding
+    /// `exempt_pages` of the usage is paid for, saturating at zero: what a
+    /// nursery of that extent could grow to if it were empty. The GenMS,
+    /// CopyMS and BC nursery limits all start from this figure.
+    pub fn bytes_free_outside(&self, exempt_pages: usize) -> u64 {
+        let held = self.used.saturating_sub(exempt_pages) as u64 * crate::BYTES_PER_PAGE as u64;
+        (self.budget_bytes() as u64).saturating_sub(held)
+    }
+
     /// Shrinks (or grows) the budget. Shrinking below current usage is
     /// allowed: the pool simply refuses further acquisitions until usage
     /// falls back under budget (this is how BC pins its heap to the current

@@ -81,13 +81,13 @@ impl fmt::Display for SanitizeLevel {
 /// once at its injection site and must trip a distinct [`SanitizeError`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InjectFault {
-    /// GenMS skips one remembered-set record in its write barrier.
+    /// The boundary write barrier skips one remembered-set record.
     SkipBarrier,
     /// The mark bit of one reachable object is cleared after tracing.
     ClearMark,
     /// BC skips the bookmark pass for one evicted page.
     DropBookmark,
-    /// SemiSpace returns the stale from-space address after copying.
+    /// One evacuation returns the stale address the object was copied from.
     DanglingForward,
 }
 
@@ -354,6 +354,7 @@ impl Core {
 
     /// Consumes the pending injected fault if it equals `fault`; the
     /// injection sites in the collectors are exercised once each.
+    #[inline]
     pub fn san_take_fault(&mut self, fault: InjectFault) -> bool {
         if self.san.pending_fault == Some(fault) {
             self.san.pending_fault = None;

@@ -127,60 +127,42 @@ impl CollectorKind {
         if let Some(policy) = policy {
             config.policy = policy;
         }
-        let wants_notifications = config.policy.wants_notifications();
+        config.nursery = self.nursery();
+        // BC always cooperates with the VMM. A baseline's process is
+        // registered only when its sizing policy wants pressure
+        // notifications: under `Fixed` baselines stay VM-oblivious, so their
+        // event queues remain empty and behaviour is byte-identical to the
+        // policy-free code.
+        if self.cooperative() || config.policy.wants_notifications() {
+            vmm.register_notifications(pid);
+        }
         match self {
-            CollectorKind::Bc | CollectorKind::BcResizeOnly => {
-                // BC variants differ only in their cooperation options;
-                // heap sizing is the shared policy layer's job.
-                let options = if self == CollectorKind::Bc {
-                    BcOptions::default()
-                } else {
-                    BcOptions::resizing_only()
-                };
-                let bc = Bookmarking::new(config, options);
-                bc.register(vmm, pid);
-                Box::new(bc)
+            // BC variants differ only in their cooperation options; heap
+            // sizing is the shared policy layer's job.
+            CollectorKind::Bc => Box::new(Bookmarking::new(config, BcOptions::default())),
+            CollectorKind::BcResizeOnly => {
+                Box::new(Bookmarking::new(config, BcOptions::resizing_only()))
             }
-            CollectorKind::MarkSweep => {
-                Self::register_policy(wants_notifications, vmm, pid);
-                Box::new(MarkSweep::new(config))
-            }
-            CollectorKind::SemiSpace => {
-                Self::register_policy(wants_notifications, vmm, pid);
-                Box::new(SemiSpace::new(config))
-            }
-            CollectorKind::GenCopy => {
-                Self::register_policy(wants_notifications, vmm, pid);
-                Box::new(GenCopy::new(config))
-            }
-            CollectorKind::GenMs => {
-                Self::register_policy(wants_notifications, vmm, pid);
-                Box::new(GenMs::new(config))
-            }
-            CollectorKind::CopyMs => {
-                Self::register_policy(wants_notifications, vmm, pid);
-                Box::new(CopyMs::new(config))
-            }
-            CollectorKind::GenCopyFixed => {
-                config.nursery = NurseryPolicy::FIXED_4MB;
-                Self::register_policy(wants_notifications, vmm, pid);
-                Box::new(GenCopy::new(config))
-            }
-            CollectorKind::GenMsFixed => {
-                config.nursery = NurseryPolicy::FIXED_4MB;
-                Self::register_policy(wants_notifications, vmm, pid);
-                Box::new(GenMs::new(config))
-            }
+            CollectorKind::MarkSweep => Box::new(MarkSweep::new(config)),
+            CollectorKind::SemiSpace => Box::new(SemiSpace::new(config)),
+            CollectorKind::GenCopy | CollectorKind::GenCopyFixed => Box::new(GenCopy::new(config)),
+            CollectorKind::GenMs | CollectorKind::GenMsFixed => Box::new(GenMs::new(config)),
+            CollectorKind::CopyMs => Box::new(CopyMs::new(config)),
         }
     }
 
-    /// Registers a baseline collector's process for pressure
-    /// notifications when its sizing policy needs them. Under `Fixed`
-    /// baselines stay VM-oblivious, so their event queues remain empty
-    /// and behaviour is byte-identical to the policy-free code.
-    fn register_policy(wants_notifications: bool, vmm: &mut Vmm, pid: ProcessId) {
-        if wants_notifications {
-            vmm.register_notifications(pid);
+    /// Whether the collector registers for paging notifications on its own
+    /// account (§4.1's cooperation channel).
+    fn cooperative(self) -> bool {
+        matches!(self, CollectorKind::Bc | CollectorKind::BcResizeOnly)
+    }
+
+    /// The nursery sizing this kind runs with: the §5.3.2 variants fix it at
+    /// 4 MB, everything generational else is Appel-style.
+    fn nursery(self) -> NurseryPolicy {
+        match self {
+            CollectorKind::GenCopyFixed | CollectorKind::GenMsFixed => NurseryPolicy::FIXED_4MB,
+            _ => NurseryPolicy::Appel,
         }
     }
 

@@ -8,7 +8,7 @@
 //! but the compiler and clippy cannot express. It is a hand-rolled text
 //! scanner (the workspace deliberately carries no proc-macro-parsing
 //! dependency); comments and string literals are stripped before matching,
-//! so doc text never trips a rule. Five rule families:
+//! so doc text never trips a rule. Six rule families:
 //!
 //! 1. **zero-alloc bodies** — every function marked `#[zero_alloc]` must
 //!    contain no allocation-capable call (`Vec::new`, `format!`,
@@ -34,6 +34,11 @@
 //!    LTO, so each link must keep `#[inline]` or every simulated word
 //!    access becomes an out-of-line cross-crate call again (DESIGN.md
 //!    §10.2).
+//! 6. **one collector per crate** — `impl GcHeap for` and `impl Forwarder
+//!    for` each occur exactly once under `crates/collectors/src` (the
+//!    generic `Plan`) and once under `crates/bookmarking/src`: a new
+//!    baseline is a `Young` or `Mature` implementation plus a `Cell` entry
+//!    and an alias, never a second hand-written collector (DESIGN.md §3.3).
 
 use std::path::{Path, PathBuf};
 
@@ -151,6 +156,14 @@ const REQUIRED_INLINE: &[(&str, &str)] = &[
     ("crates/heap/src/roots.rs", "add"),
     ("crates/heap/src/roots.rs", "set"),
     ("crates/heap/src/roots.rs", "remove"),
+];
+
+/// Traits a collector crate implements exactly once (crate, trait).
+const SINGLE_IMPL: &[(&str, &str)] = &[
+    ("collectors", "GcHeap"),
+    ("collectors", "Forwarder"),
+    ("bookmarking", "GcHeap"),
+    ("bookmarking", "Forwarder"),
 ];
 
 /// Removed-API tokens that must not reappear (token, replacement hint).
@@ -421,6 +434,57 @@ fn check_attr(
     });
 }
 
+/// The trait named by a stripped `impl … Trait for Type` header line (last
+/// path segment, generic arguments excluded); `None` for inherent impls and
+/// every other line.
+fn implemented_trait(line: &str) -> Option<&str> {
+    let line = line.trim_start();
+    if !(line.starts_with("impl ") || line.starts_with("impl<")) {
+        return None;
+    }
+    let before = &line[..line.find(" for ")?];
+    let path = before.rsplit(' ').next()?;
+    let name = path.rsplit("::").next()?;
+    Some(name.split('<').next().unwrap_or(name))
+}
+
+/// Checks the `(file, stripped lines)` sources of the collector crates
+/// against [`SINGLE_IMPL`]: each registered trait is implemented exactly
+/// once under its crate's `src/`.
+fn check_single_impl(sources: &[(String, Vec<String>)], out: &mut Vec<Violation>) {
+    for (krate, name) in SINGLE_IMPL {
+        let dir = format!("crates/{krate}/src/");
+        let sites: Vec<(&str, usize)> = sources
+            .iter()
+            .filter(|(file, _)| file.starts_with(&dir))
+            .flat_map(|(file, lines)| {
+                lines
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l)| implemented_trait(l) == Some(*name))
+                    .map(move |(n, _)| (file.as_str(), n + 1))
+            })
+            .collect();
+        if sites.len() == 1 {
+            continue;
+        }
+        // Point at the second impl when there is one, else at the crate.
+        let (file, line) = sites.get(1).copied().unwrap_or((&dir, 0));
+        out.push(Violation {
+            file: file.to_string(),
+            line,
+            rule: "single-impl",
+            message: format!(
+                "`impl {name} for` occurs {} times under {dir}, must be exactly one: a new \
+                 collector is a `Young` or `Mature` implementation plus a `Cell` entry and an \
+                 alias over `collectors::Plan`, not another hand-written collector \
+                 (DESIGN.md §3.3)",
+                sites.len()
+            ),
+        });
+    }
+}
+
 /// Recursively collects `.rs` files, skipping build output.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -467,6 +531,7 @@ fn lint_workspace(root: &Path) -> Vec<Violation> {
         })
         .collect();
     let mut marked: Vec<(String, String)> = Vec::new(); // (rel path, fn)
+    let mut collector_sources: Vec<(String, Vec<String>)> = Vec::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -498,7 +563,11 @@ fn lint_workspace(root: &Path) -> Vec<Violation> {
                 }
             }
         }
+        if in_crate(&rel, &["collectors", "bookmarking"]) {
+            collector_sources.push((rel, stripped));
+        }
     }
+    check_single_impl(&collector_sources, &mut out);
     for (suffix, name) in REQUIRED_ZERO_ALLOC {
         if !marked.iter().any(|(f, n)| f.ends_with(suffix) && n == name) {
             out.push(Violation {
@@ -687,6 +756,56 @@ mod tests {
         );
         assert!(!stripped[0].contains("Vec::new"));
         assert!(stripped[0].contains("let c"));
+    }
+
+    #[test]
+    fn second_collector_impl_is_flagged() {
+        let plan =
+            "impl<Y: Young, M: Mature> GcHeap for Plan<Y, M>\nwhere\n    (Y, M): Cell,\n{\n}\n\
+                    impl<Y: Young, M: Mature> Forwarder for Plan<Y, M> {}\n\
+                    impl<Y, M> Plan<Y, M> {}\n// impl GcHeap for Doc {}\n";
+        let bc = "impl Forwarder for Bookmarking {}\nimpl GcHeap for Bookmarking {}\n";
+        let clean = vec![
+            (
+                "crates/collectors/src/plan.rs".to_string(),
+                strip_source(plan),
+            ),
+            (
+                "crates/bookmarking/src/collector.rs".to_string(),
+                strip_source(bc),
+            ),
+            // Only `src/` counts: test doubles implement the traits freely.
+            (
+                "crates/collectors/tests/fake.rs".to_string(),
+                strip_source(bc),
+            ),
+        ];
+        let mut out = Vec::new();
+        check_single_impl(&clean, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // A hand-written collector beside the plan, path-qualified or not.
+        let fork = "impl heap::GcHeap for Immix {}\n";
+        let mut forked = clean.clone();
+        forked.push((
+            "crates/collectors/src/immix.rs".to_string(),
+            strip_source(fork),
+        ));
+        check_single_impl(&forked, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "single-impl");
+        assert_eq!(
+            (out[0].file.as_str(), out[0].line),
+            ("crates/collectors/src/immix.rs", 1)
+        );
+        assert!(out[0].message.contains("`impl GcHeap for` occurs 2 times"));
+        assert!(out[0].message.contains("`Young` or `Mature`"));
+        // Deleting an impl is caught too.
+        let mut out = Vec::new();
+        check_single_impl(&clean[..1], &mut out);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out[0]
+            .message
+            .contains("occurs 0 times under crates/bookmarking/src/"));
     }
 
     /// The packet scheduler lives in `heap`, which must never become

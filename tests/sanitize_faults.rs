@@ -7,7 +7,10 @@
 //! injection site (a dropped remembered-set record, a cleared mark bit, a
 //! skipped bookmark pass, a stale forwarding address). The sanitizer at
 //! [`SanitizeLevel::Full`] must then abort with the matching message —
-//! these tests pin the messages as the sanitizer's user interface.
+//! these tests pin the messages as the sanitizer's user interface. The
+//! baselines share one barrier, one mark site and one evacuation site, so
+//! each of those faults is armed on every kind of plan that has the
+//! mechanism, not on one collector standing for the rest.
 
 use heap::{AllocKind, CollectKind, GcHeap, Handle, MemCtx, OutOfMemory};
 use simulate::experiments::dynamic_pressure_config;
@@ -76,16 +79,37 @@ impl Program for OldToYoung {
     }
 }
 
+/// [`OldToYoung`] on `kind` with the one write-barrier record it depends on
+/// dropped.
+fn skipped_barrier(kind: CollectorKind) -> RunResult {
+    let mut config = RunConfig::new(kind, 8 << 20, 512 << 20);
+    config.sanitize = SanitizeLevel::Full;
+    config.sanitize_fault = Some(InjectFault::SkipBarrier);
+    run(&config, Box::new(OldToYoung { step: 0, old: None }))
+}
+
 /// GenMS drops one remembered-set record in its write barrier: the mature
 /// slot keeps pointing at an uncopied nursery object after the trace, and
 /// the shadow pass reports the unrecorded edge.
 #[test]
 #[should_panic(expected = "sanitize: missed barrier")]
 fn genms_skipped_barrier_is_caught() {
-    let mut config = RunConfig::new(CollectorKind::GenMs, 8 << 20, 512 << 20);
-    config.sanitize = SanitizeLevel::Full;
-    config.sanitize_fault = Some(InjectFault::SkipBarrier);
-    let _ = run(&config, Box::new(OldToYoung { step: 0, old: None }));
+    let _ = skipped_barrier(CollectorKind::GenMs);
+}
+
+/// The barrier is the plan's, not GenMS's: the same dropped record is
+/// caught under a copying mature space…
+#[test]
+#[should_panic(expected = "sanitize: missed barrier")]
+fn gencopy_skipped_barrier_is_caught() {
+    let _ = skipped_barrier(CollectorKind::GenCopy);
+}
+
+/// …and under a fixed-size nursery.
+#[test]
+#[should_panic(expected = "sanitize: missed barrier")]
+fn genms_fixed_skipped_barrier_is_caught() {
+    let _ = skipped_barrier(CollectorKind::GenMsFixed);
 }
 
 /// MarkSweep clears the mark bit of one reachable object after tracing:
@@ -97,6 +121,21 @@ fn marksweep_cleared_mark_is_caught() {
     let _ = faulted(CollectorKind::MarkSweep, InjectFault::ClearMark);
 }
 
+/// The same cleared bit in GenMS's mark-sweep mature space, where the
+/// object carrying it was promoted (and marked) by the collection itself.
+#[test]
+#[should_panic(expected = "sanitize: unmarked reachable")]
+fn genms_cleared_mark_is_caught() {
+    let _ = faulted(CollectorKind::GenMs, InjectFault::ClearMark);
+}
+
+/// And in CopyMS, whose every collection is such a full one.
+#[test]
+#[should_panic(expected = "sanitize: unmarked reachable")]
+fn copyms_cleared_mark_is_caught() {
+    let _ = faulted(CollectorKind::CopyMs, InjectFault::ClearMark);
+}
+
 /// SemiSpace returns the stale from-space address after copying one
 /// object: some slot keeps referring to condemned space whose header is a
 /// forwarding stub, and the shadow trace reports where the object went.
@@ -104,6 +143,14 @@ fn marksweep_cleared_mark_is_caught() {
 #[should_panic(expected = "sanitize: dangling forward")]
 fn semispace_dangling_forward_is_caught() {
     let _ = faulted(CollectorKind::SemiSpace, InjectFault::DanglingForward);
+}
+
+/// GenCopy's first evacuation — a nursery survivor promoted by a minor
+/// collection — returns the stale nursery address the same way.
+#[test]
+#[should_panic(expected = "sanitize: dangling forward")]
+fn gencopy_dangling_forward_is_caught() {
+    let _ = faulted(CollectorKind::GenCopy, InjectFault::DanglingForward);
 }
 
 /// BC skips the bookmark pass for one evicted page: an outgoing reference

@@ -13,8 +13,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use bookmarking::{BcOptions, VictimPolicy};
-use simtime::{CostModel, Nanos};
-use simulate::{run, CollectorKind, Program, RunConfig, RunResult};
+use simtime::Nanos;
+use simulate::experiments::dynamic_pressure_config;
+use simulate::{run, CollectorKind, Program, RunResult};
 use workloads::spec;
 
 const SCALE: f64 = 0.02;
@@ -41,46 +42,40 @@ fn describe(label: &str, r: &RunResult) {
 }
 
 /// Runs BC under dynamic pressure with explicit options (bypassing
-/// `CollectorKind` to reach the §7 knobs).
+/// `CollectorKind` to reach the §7 knobs): `dynamic_pressure_config`'s
+/// machine and ramp, on a `Driver` assembled by hand.
 fn run_bc_with(options: BcOptions, target_avail: usize) -> RunResult {
     use bookmarking::Bookmarking;
     use heap::HeapConfig;
-    use simulate::{Engine, JvmProcess, Signalmem, SignalmemConfig};
+    use simulate::{run_result, Driver, JvmProcess, Signalmem};
     use vmm::{Vmm, VmmConfig};
 
-    let heap = eq(100 << 20);
-    let memory = eq(224 << 20);
+    let config = dynamic_pressure_config(
+        CollectorKind::Bc,
+        eq(100 << 20),
+        eq(224 << 20),
+        target_avail,
+        SCALE,
+    );
     let mut vmm = Vmm::new(
-        VmmConfig::builder().memory_bytes(memory).build(),
-        CostModel::default(),
+        VmmConfig::builder()
+            .memory_bytes(config.memory_bytes)
+            .build(),
+        config.costs.clone(),
     );
     let pid = vmm.register_process();
-    let bc = Bookmarking::new(HeapConfig::builder().heap_bytes(heap).build(), options);
+    let bc = Bookmarking::new(
+        HeapConfig::builder().heap_bytes(config.heap_bytes).build(),
+        options,
+    );
     bc.register(&mut vmm, pid);
+    let sm_pid = vmm.register_process();
+    let mut driver = Driver::new(vmm);
     let make = pseudo_jbb();
-    let mut engine = Engine::new(vmm);
-    engine.jvms.push(JvmProcess::new(pid, Box::new(bc), make()));
-    let mut pressure =
-        SignalmemConfig::dynamic(memory.saturating_sub(target_avail), Nanos::from_millis(1));
-    pressure.initial_pages = ((pressure.initial_pages as f64) * SCALE) as usize;
-    pressure.step_pages = ((pressure.step_pages as f64) * SCALE).max(1.0) as usize;
-    pressure.interval = Nanos((pressure.interval.as_nanos() as f64 * SCALE * 0.2) as u64);
-    let sm_pid = engine.vmm.register_process();
-    engine.signalmem = Some(Signalmem::new(pressure, sm_pid));
-    engine.run_to_completion();
-    let jvm = &engine.jvms[0];
-    RunResult {
-        collector: CollectorKind::Bc,
-        benchmark: jvm.program.name().to_string(),
-        exec_time: jvm.finish_time.unwrap_or(jvm.clock.now()),
-        oom: jvm.failed.is_some(),
-        timed_out: engine.timed_out(),
-        pauses: jvm.gc.pause_log().stats(),
-        pause_records: jvm.gc.pause_log().records().to_vec(),
-        gc: *jvm.gc.stats(),
-        vm: *engine.vmm.stats(jvm.pid),
-        metrics: jvm.gc.metrics(engine.vmm.stats(jvm.pid)),
-    }
+    driver.jvms.push(JvmProcess::new(pid, Box::new(bc), make()));
+    driver.signalmem = config.pressure.map(|p| Signalmem::new(p, sm_pid));
+    driver.run_to_completion();
+    run_result(&driver, &driver.jvms[0], config.collector)
 }
 
 fn bench_victim_policy(c: &mut Criterion) {
@@ -148,18 +143,9 @@ fn bench_swap_device(c: &mut Criterion) {
             }
             let results =
                 bench::parallel_map(bench::default_jobs(), &grid, |_, &(_, fault, kind)| {
-                    let mut config = RunConfig::new(kind, heap, memory);
+                    let mut config =
+                        dynamic_pressure_config(kind, heap, memory, eq(60 << 20), SCALE);
                     config.costs.major_fault = fault;
-                    config.pressure = Some({
-                        let mut p = simulate::SignalmemConfig::dynamic(
-                            memory.saturating_sub(eq(60 << 20)),
-                            Nanos::from_millis(1),
-                        );
-                        p.initial_pages = ((p.initial_pages as f64) * SCALE) as usize;
-                        p.step_pages = ((p.step_pages as f64) * SCALE).max(1.0) as usize;
-                        p.interval = Nanos((p.interval.as_nanos() as f64 * SCALE * 0.2) as u64);
-                        p
-                    });
                     run(&config, make())
                 });
             let mut out = Vec::new();

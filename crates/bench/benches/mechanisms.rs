@@ -1,12 +1,18 @@
-//! Criterion micro-benchmarks of the collector mechanisms: allocation,
-//! the write barrier, nursery collection, full collection, BC's
-//! eviction-time bookmark scan, the charged object primitives every
-//! one of those is made of (`Core::{header, try_mark, scan_refs_into,
-//! init_object}`, DESIGN.md §10.2), the two per-event costs of BC's
-//! cooperation path (an idle `discard_reserve`, a residency lookup;
+//! Criterion micro-benchmarks of the mechanisms gcbench's isolation suite
+//! (`benchmark/src/isolate.rs`) does not measure: the charged object
+//! primitives every collector path is made of (`Core::{header, try_mark,
+//! scan_refs_into, init_object}`, DESIGN.md §10.2), the two per-event costs
+//! of BC's cooperation path (an idle `discard_reserve`, a residency lookup;
 //! DESIGN.md §10.7), and the two fixed costs outside the collectors: the
 //! synthetic mutator's own work per allocation and the construction of an
 //! empty `MsSpace` (DESIGN.md §10.8).
+//!
+//! Allocation, the write barrier, nursery and full collection and BC's
+//! eviction-time bookmark scan are not here: gcbench reports them under
+//! committed names (`collectors.alloc_ns.*` / `bookmarking.alloc_ns`,
+//! `*.write_ref_ns.*`, `collectors.minor_gc_ns_per_obj`,
+//! `*.full_gc_ns_per_obj*`, `bookmarking.evict_page_us`), and a second copy
+//! under criterion names only invites the two to disagree.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -16,186 +22,9 @@ use heap::gc::Core;
 use heap::object::field_addr;
 use heap::{Address, AllocKind, CollectKind, GcHeap, HeapConfig, MemCtx, MsSpace, ObjectKind};
 use simtime::{Clock, CostModel};
-use simulate::{CollectorKind, Program, ProgramStatus};
+use simulate::{Program, ProgramStatus};
 use vmm::{Vmm, VmmConfig};
 use workloads::RecordingHeap;
-
-fn fresh(kind: CollectorKind) -> (Vmm, Clock, vmm::ProcessId, Box<dyn GcHeap>) {
-    let mut vmm = Vmm::new(
-        VmmConfig::builder().memory_bytes(256 << 20).build(),
-        CostModel::default(),
-    );
-    let clock = Clock::new();
-    let pid = vmm.register_process();
-    let gc = kind.build(32 << 20, telemetry::Tracer::disabled(), &mut vmm, pid);
-    (vmm, clock, pid, gc)
-}
-
-fn bench_alloc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("alloc");
-    for kind in [
-        CollectorKind::Bc,
-        CollectorKind::GenMs,
-        CollectorKind::SemiSpace,
-    ] {
-        group.bench_function(kind.label(), |b| {
-            let (mut vmm, mut clock, pid, mut gc) = fresh(kind);
-            b.iter(|| {
-                let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
-                let h = gc
-                    .alloc(
-                        &mut ctx,
-                        AllocKind::Scalar {
-                            data_words: 6,
-                            num_refs: 2,
-                        },
-                    )
-                    .unwrap();
-                gc.drop_handle(black_box(h));
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_write_barrier(c: &mut Criterion) {
-    let mut group = c.benchmark_group("write_barrier");
-    for kind in [CollectorKind::Bc, CollectorKind::GenMs] {
-        group.bench_function(kind.label(), |b| {
-            let (mut vmm, mut clock, pid, mut gc) = fresh(kind);
-            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
-            let old = gc.alloc(&mut ctx, AllocKind::RefArray { len: 64 }).unwrap();
-            gc.collect(&mut ctx, CollectKind::Minor); // promote `old`
-            let young = gc
-                .alloc(
-                    &mut ctx,
-                    AllocKind::Scalar {
-                        data_words: 2,
-                        num_refs: 1,
-                    },
-                )
-                .unwrap();
-            let mut i = 0u32;
-            b.iter(|| {
-                let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
-                gc.write_ref(&mut ctx, old, i % 64, Some(young));
-                i = i.wrapping_add(1);
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_nursery_gc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("nursery_gc_1000_live");
-    group.sample_size(20);
-    for kind in [
-        CollectorKind::Bc,
-        CollectorKind::GenMs,
-        CollectorKind::GenCopy,
-    ] {
-        group.bench_function(kind.label(), |b| {
-            b.iter(|| {
-                let (mut vmm, mut clock, pid, mut gc) = fresh(kind);
-                let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
-                let held: Vec<_> = (0..1000)
-                    .map(|_| {
-                        gc.alloc(
-                            &mut ctx,
-                            AllocKind::Scalar {
-                                data_words: 8,
-                                num_refs: 2,
-                            },
-                        )
-                        .unwrap()
-                    })
-                    .collect();
-                gc.collect(&mut ctx, CollectKind::Minor);
-                black_box(held);
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_full_gc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("full_gc_10k_live");
-    group.sample_size(10);
-    for kind in [
-        CollectorKind::Bc,
-        CollectorKind::GenMs,
-        CollectorKind::MarkSweep,
-        CollectorKind::SemiSpace,
-    ] {
-        group.bench_function(kind.label(), |b| {
-            b.iter(|| {
-                let (mut vmm, mut clock, pid, mut gc) = fresh(kind);
-                let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
-                let held: Vec<_> = (0..10_000)
-                    .map(|_| {
-                        gc.alloc(
-                            &mut ctx,
-                            AllocKind::Scalar {
-                                data_words: 8,
-                                num_refs: 2,
-                            },
-                        )
-                        .unwrap()
-                    })
-                    .collect();
-                gc.collect(&mut ctx, CollectKind::Full);
-                black_box(held);
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_bookmark_scan(c: &mut Criterion) {
-    // The §3.4 eviction path: scan a victim page, set bookmarks, relinquish.
-    c.bench_function("bookmark_scan_and_relinquish_page", |b| {
-        b.iter(|| {
-            let mut vmm = Vmm::new(
-                VmmConfig::builder().memory_bytes(8 << 20).build(),
-                CostModel::default(),
-            );
-            let mut clock = Clock::new();
-            let pid = vmm.register_process();
-            let hog = vmm.register_process();
-            let mut bc = Bookmarking::new(
-                HeapConfig::builder().heap_bytes(2 << 20).build(),
-                BcOptions::default(),
-            );
-            bc.register(&mut vmm, pid);
-            let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
-            let held: Vec<_> = (0..2_000)
-                .map(|_| {
-                    bc.alloc(
-                        &mut ctx,
-                        AllocKind::Scalar {
-                            data_words: 8,
-                            num_refs: 2,
-                        },
-                    )
-                    .unwrap()
-                })
-                .collect();
-            bc.collect(&mut ctx, CollectKind::Full);
-            // Squeeze until pages are relinquished.
-            let mut pinned = 0;
-            while bc.evicted_heap_pages() == 0 && pinned < 2040 {
-                if vmm.free_frames() > 8 {
-                    vmm.mlock(hog, vmm::VirtPage::new(pinned), &mut clock);
-                    pinned += 1;
-                }
-                vmm.pump(&mut clock);
-                let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
-                bc.handle_vm_events(&mut ctx);
-            }
-            black_box((held, bc.evicted_heap_pages()));
-        });
-    });
-}
 
 /// The access path in isolation: one charged object primitive per step,
 /// cycling over 1024 initialised 32-byte objects (eight pages, 128 objects
@@ -442,11 +271,6 @@ criterion_group!(
     bench_discard_reserve_idle,
     bench_residency_lookup,
     bench_synthetic_step,
-    bench_msspace_new,
-    bench_alloc,
-    bench_write_barrier,
-    bench_nursery_gc,
-    bench_full_gc,
-    bench_bookmark_scan
+    bench_msspace_new
 );
 criterion_main!(benches);

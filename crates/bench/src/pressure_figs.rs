@@ -485,8 +485,8 @@ pub fn fig_parallel_report(params: &Params) -> Table {
 pub const FLEET_PROCS: [usize; 4] = [4, 64, 512, 2048];
 
 /// One `fig7_scale` cell: `n` tenants of `kind` splitting a constant
-/// aggregate pseudoJBB workload over a fixed machine, time-sliced by the
-/// round-robin [`simulate::Scheduler`] over a sharded VMM (one shard per
+/// aggregate pseudoJBB workload over a fixed machine, time-sliced
+/// round-robin by [`simulate::Driver`] over a sharded VMM (one shard per
 /// 256 tenants).
 ///
 /// At `n = 4` every tenant is a paper-sized Figure 7 instance; the sweep

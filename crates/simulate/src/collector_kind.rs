@@ -4,8 +4,7 @@ use core::fmt;
 
 use bookmarking::{BcOptions, Bookmarking};
 use collectors::{CopyMs, GenCopy, GenMs, MarkSweep, SemiSpace};
-use heap::{GcHeap, HeapConfig, InjectFault, NurseryPolicy, PolicyKind, SanitizeLevel};
-use telemetry::Tracer;
+use heap::{GcHeap, HeapConfig, NurseryPolicy};
 use vmm::{ProcessId, Vmm};
 
 /// One of the collectors evaluated in §5.
@@ -65,68 +64,19 @@ impl CollectorKind {
         CollectorKind::CopyMs,
     ];
 
-    /// Builds a fresh collector instance, registering it with the VMM if
-    /// it is VM-cooperative. Events the collector emits carry `tracer`'s
-    /// per-pid label, which is set to the paper's collector label here.
+    /// Builds a fresh collector instance over `config`, registering it with
+    /// the VMM if it is VM-cooperative. The kind overrides two things in
+    /// `config`: the tracer's per-pid label becomes the paper's collector
+    /// label, and the nursery becomes the kind's own (fixed 4 MB for the
+    /// §5.3.2 variants, Appel otherwise).
     ///
-    /// Runs the default heap-sizing policy: `Fixed` for every baseline,
-    /// which BC upgrades to its own shrink-to-footprint behaviour. Use
-    /// [`CollectorKind::build_with_policy`] to override.
-    pub fn build(
-        self,
-        heap_bytes: usize,
-        tracer: Tracer,
-        vmm: &mut Vmm,
-        pid: ProcessId,
-    ) -> Box<dyn GcHeap> {
-        self.build_with_policy(
-            heap_bytes,
-            None,
-            SanitizeLevel::Off,
-            None,
-            1,
-            tracer,
-            vmm,
-            pid,
-        )
-    }
-
-    /// [`CollectorKind::build`] with an explicit heap-sizing policy.
-    ///
-    /// `None` keeps each collector's default (`Fixed` for baselines;
-    /// BC treats `Fixed` as its built-in shrink-to-footprint). When the
+    /// `config.policy` defaults to `Fixed`, each baseline's historical
+    /// sizing, which BC treats as its built-in shrink-to-footprint. When the
     /// chosen policy wants VMM pressure notifications, the process is
     /// registered for them even for the otherwise VM-oblivious baselines,
-    /// so the policy can observe eviction pressure. `sanitize` selects the
-    /// verification level ([`SanitizeLevel::Off`] is free; `Full` adds the
-    /// shadow re-trace after every collection). `sanitize_fault` arms a
-    /// one-shot seeded collector bug for sanitizer self-tests; always
-    /// `None` outside `tests/sanitize_faults.rs`. `gc_threads` sets the
-    /// simulated GC worker count of the packet tracer (1 reproduces the
-    /// sequential tracer byte-for-byte).
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_with_policy(
-        self,
-        heap_bytes: usize,
-        policy: Option<PolicyKind>,
-        sanitize: SanitizeLevel,
-        sanitize_fault: Option<InjectFault>,
-        gc_threads: usize,
-        tracer: Tracer,
-        vmm: &mut Vmm,
-        pid: ProcessId,
-    ) -> Box<dyn GcHeap> {
-        tracer.set_label(pid.as_u32(), self.label());
-        let mut config = HeapConfig::builder()
-            .heap_bytes(heap_bytes)
-            .tracer(tracer)
-            .sanitize(sanitize)
-            .gc_threads(gc_threads)
-            .build();
-        config.sanitize_fault = sanitize_fault;
-        if let Some(policy) = policy {
-            config.policy = policy;
-        }
+    /// so the policy can observe eviction pressure.
+    pub fn build(self, mut config: HeapConfig, vmm: &mut Vmm, pid: ProcessId) -> Box<dyn GcHeap> {
+        config.tracer.set_label(pid.as_u32(), self.label());
         config.nursery = self.nursery();
         // BC always cooperates with the VMM. A baseline's process is
         // registered only when its sizing policy wants pressure
@@ -191,6 +141,7 @@ impl fmt::Display for CollectorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heap::PolicyKind;
     use simtime::{Clock, CostModel};
     use vmm::VmmConfig;
 
@@ -203,7 +154,11 @@ mod tests {
             );
             let mut clock = Clock::new();
             let pid = vmm.register_process();
-            let mut gc = kind.build(8 << 20, Tracer::disabled(), &mut vmm, pid);
+            let mut gc = kind.build(
+                HeapConfig::builder().heap_bytes(8 << 20).build(),
+                &mut vmm,
+                pid,
+            );
             let mut ctx = heap::MemCtx::new(&mut vmm, &mut clock, pid);
             let h = gc
                 .alloc(
@@ -233,7 +188,11 @@ mod tests {
             );
             let mut clock = Clock::new();
             let pid = vmm.register_process();
-            let _gc = kind.build(1 << 20, Tracer::disabled(), &mut vmm, pid);
+            let _gc = kind.build(
+                HeapConfig::builder().heap_bytes(1 << 20).build(),
+                &mut vmm,
+                pid,
+            );
             // Force pressure so notices would be queued for registrants.
             let hog = vmm.register_process();
             let mut probe = Clock::new();
@@ -273,16 +232,11 @@ mod tests {
             );
             let mut clock = Clock::new();
             let pid = vmm.register_process();
-            let _gc = CollectorKind::GenMs.build_with_policy(
-                1 << 20,
-                Some(policy),
-                SanitizeLevel::Off,
-                None,
-                1,
-                Tracer::disabled(),
-                &mut vmm,
-                pid,
-            );
+            let config = HeapConfig::builder()
+                .heap_bytes(1 << 20)
+                .policy(policy)
+                .build();
+            let _gc = CollectorKind::GenMs.build(config, &mut vmm, pid);
             let hog = vmm.register_process();
             let mut probe = Clock::new();
             let ctx = heap::MemCtx::new(&mut vmm, &mut clock, pid);

@@ -7,13 +7,12 @@
 //! from the `workloads` crate.
 
 use heap::{GcStats, SanitizeLevel};
-use simtime::{CostModel, Nanos};
-use vmm::{VmStats, Vmm, VmmConfig};
+use simtime::Nanos;
+use vmm::VmStats;
 
-use crate::engine::JvmProcess;
+use crate::driver::Turns;
 use crate::program::Program;
-use crate::runner::{run, run_multi, MultiRunResult, RunConfig, RunResult};
-use crate::sched::Scheduler;
+use crate::runner::{drive, run, run_multi, MultiRunResult, RunConfig, RunResult};
 use crate::signalmem::SignalmemConfig;
 use crate::CollectorKind;
 
@@ -139,7 +138,7 @@ pub fn multi_jvm(
 
 /// Configuration for a scaled multi-tenant run (the `fig7_scale`
 /// experiment): `tenants` simulated mutators sharing one sharded VMM under
-/// a round-robin time-slice [`Scheduler`].
+/// the driver's round-robin time slices.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// The collector every tenant runs.
@@ -152,9 +151,9 @@ pub struct FleetConfig {
     pub memory_bytes: usize,
     /// VMM shard count (frame pool and page-table partitions).
     pub shards: usize,
-    /// Scheduler time slice.
+    /// Round-robin time slice.
     pub quantum: Nanos,
-    /// Scheduler abort knob.
+    /// Abort knob: the slice limit.
     pub max_slices: u64,
     /// Sanitizer level for every tenant heap (`Off` by default).
     pub sanitize: SanitizeLevel,
@@ -213,9 +212,9 @@ pub struct FleetResult {
     /// Notification deliveries across the fleet (the pump-cost counter;
     /// stays proportional to events however many tenants idle).
     pub deliveries: u64,
-    /// Scheduler slices executed.
+    /// Time slices executed.
     pub slices: u64,
-    /// Whether the scheduler hit its slice limit.
+    /// Whether the run hit its slice limit.
     pub timed_out: bool,
 }
 
@@ -231,52 +230,39 @@ impl FleetResult {
 /// program; callers split a constant total workload across the fleet so
 /// runs are comparable along the tenancy axis.
 pub fn run_fleet(config: &FleetConfig, make: &dyn Fn(usize) -> Box<dyn Program>) -> FleetResult {
-    let mut vmm = Vmm::new(
-        VmmConfig::builder()
-            .memory_bytes(config.memory_bytes)
-            .shards(config.shards)
-            .build(),
-        CostModel::default(),
+    let mut run_config = RunConfig::new(
+        config.collector,
+        config.tenant_heap_bytes,
+        config.memory_bytes,
     );
-    let mut tenants = Vec::with_capacity(config.tenants);
-    for i in 0..config.tenants {
-        let pid = vmm.register_process();
-        let gc = config.collector.build_with_policy(
-            config.tenant_heap_bytes,
-            None,
-            config.sanitize,
-            None,
-            1,
-            telemetry::Tracer::disabled(),
-            &mut vmm,
-            pid,
-        );
-        tenants.push(JvmProcess::new(pid, gc, make(i)));
-    }
-    let mut sched = Scheduler::new(vmm, config.quantum);
-    sched.tenants = tenants;
-    sched.max_slices = config.max_slices;
-    sched.run_to_completion();
-    let results: Vec<TenantResult> = sched
-        .tenants
+    run_config.sanitize = config.sanitize;
+    run_config.max_steps = config.max_slices;
+    let driver = drive(
+        &run_config,
+        config.shards,
+        Turns::RoundRobin(config.quantum),
+        (0..config.tenants).map(make),
+    );
+    let tenants: Vec<TenantResult> = driver
+        .jvms
         .iter()
         .map(|t| TenantResult {
             oom: t.failed.is_some(),
             finish_time: t.finish_time,
-            vm: *sched.vmm.stats(t.pid),
+            vm: *driver.vmm.stats(t.pid),
             gc: *t.gc.stats(),
         })
         .collect();
-    let total_elapsed = results
+    let total_elapsed = tenants
         .iter()
         .filter_map(|t| t.finish_time)
         .max()
         .unwrap_or(Nanos::ZERO);
     FleetResult {
-        tenants: results,
+        tenants,
         total_elapsed,
-        deliveries: sched.total_deliveries(),
-        slices: sched.slices(),
-        timed_out: sched.timed_out(),
+        deliveries: driver.total_deliveries(),
+        slices: driver.turns(),
+        timed_out: driver.timed_out(),
     }
 }

@@ -10,12 +10,12 @@
 //! * [`Signalmem`] — the paper's memory-pressure driver (§5.1): it maps,
 //!   touches and `mlock`s memory at a configurable initial size, rate, and
 //!   target;
-//! * [`Engine`] — a deterministic discrete-event loop interleaving any
-//!   number of JVM processes and pressure drivers over one shared
-//!   [`vmm::Vmm`], by least simulated time;
-//! * [`Scheduler`] — a round-robin time-slice scheduler for fleets of
-//!   hundreds to thousands of tenants, with O(1) scheduling decisions and
-//!   O(events) notification delivery ([`experiments::run_fleet`]);
+//! * [`Driver`] — the one deterministic event loop: any number of
+//!   [`JvmProcess`]es and an optional pressure driver take turns over one
+//!   shared [`vmm::Vmm`], with O(events) notification delivery. The entry
+//!   point picks the order of turns: least simulated time first for
+//!   [`run`]/[`run_multi`], round-robin time slices (an O(1) pick) for
+//!   [`experiments::run_fleet`]'s hundreds to thousands of tenants;
 //! * [`run`]/[`RunConfig`]/[`RunResult`] — one benchmark execution with
 //!   full metrics (execution time, pause statistics, paging counters, GC
 //!   counters, BMU inputs);
@@ -25,17 +25,17 @@
 #![warn(missing_docs)]
 
 mod collector_kind;
-mod engine;
+mod driver;
 pub mod experiments;
 mod program;
 mod runner;
-mod sched;
 mod signalmem;
 
 pub use collector_kind::CollectorKind;
-pub use engine::{Engine, JvmProcess};
+pub use driver::{Driver, JvmProcess};
 pub use heap::{InjectFault, PolicyKind, SanitizeLevel};
 pub use program::{Program, ProgramStatus};
-pub use runner::{min_heap_search, run, run_multi, MultiRunResult, RunConfig, RunResult};
-pub use sched::Scheduler;
+pub use runner::{
+    min_heap_search, run, run_multi, run_result, MultiRunResult, RunConfig, RunResult,
+};
 pub use signalmem::{Signalmem, SignalmemConfig};

@@ -1,12 +1,12 @@
 //! Single- and multi-JVM benchmark runs, and the minimum-heap search.
 
-use heap::{GcStats, MetricsSnapshot, PolicyKind, SanitizeLevel};
+use heap::{GcStats, HeapConfig, MetricsSnapshot, PolicyKind, SanitizeLevel};
 use simtime::{CostModel, Nanos, PauseRecord, PauseStats};
 use telemetry::Tracer;
 use vmm::{VmStats, Vmm, VmmConfig};
 
 use crate::collector_kind::CollectorKind;
-use crate::engine::{Engine, JvmProcess};
+use crate::driver::{Driver, JvmProcess, Turns};
 use crate::program::Program;
 use crate::signalmem::{Signalmem, SignalmemConfig};
 
@@ -23,7 +23,7 @@ pub struct RunConfig {
     pub pressure: Option<SignalmemConfig>,
     /// Cost model (defaults to the paper's testbed).
     pub costs: CostModel,
-    /// Engine step limit (thrashing abort).
+    /// Turn limit (thrashing abort).
     pub max_steps: u64,
     /// Structured-event sink shared by every JVM and the VMM. Disabled by
     /// default; emitting is then a single branch per event site.
@@ -72,7 +72,7 @@ pub struct RunResult {
     pub exec_time: Nanos,
     /// Whether the heap was exhausted.
     pub oom: bool,
-    /// Whether the engine aborted the run (thrashing beyond the step cap).
+    /// Whether the driver aborted the run (thrashing beyond the turn cap).
     pub timed_out: bool,
     /// Pause summary.
     pub pauses: PauseStats,
@@ -103,28 +103,67 @@ pub struct MultiRunResult {
     pub total_elapsed: Nanos,
 }
 
-fn collect_result(engine: &Engine, idx: usize) -> RunResult {
-    let jvm = &engine.jvms[idx];
+/// The metrics of one of `driver`'s JVMs, which ran as `collector`.
+pub fn run_result(driver: &Driver, jvm: &JvmProcess, collector: CollectorKind) -> RunResult {
+    let vm = driver.vmm.stats(jvm.pid);
     RunResult {
-        collector: match jvm.gc.name() {
-            "BC" => CollectorKind::Bc,
-            "BC-resize" => CollectorKind::BcResizeOnly,
-            "MarkSweep" => CollectorKind::MarkSweep,
-            "SemiSpace" => CollectorKind::SemiSpace,
-            "GenCopy" => CollectorKind::GenCopy,
-            "GenMS" => CollectorKind::GenMs,
-            _ => CollectorKind::CopyMs,
-        },
+        collector,
         benchmark: jvm.program.name().to_string(),
         exec_time: jvm.finish_time.unwrap_or(jvm.clock.now()),
         oom: jvm.failed.is_some(),
-        timed_out: engine.timed_out(),
+        timed_out: driver.timed_out(),
         pauses: jvm.gc.pause_log().stats(),
         pause_records: jvm.gc.pause_log().records().to_vec(),
         gc: *jvm.gc.stats(),
-        vm: *engine.vmm.stats(jvm.pid),
-        metrics: jvm.gc.metrics(engine.vmm.stats(jvm.pid)),
+        vm: *vm,
+        metrics: jvm.gc.metrics(vm),
     }
+}
+
+/// The one way a machine is assembled and run: builds the [`Vmm`] (`shards`
+/// partitions), registers a process and builds a `config.collector` heap for
+/// every program, attaches signalmem if `config.pressure` asks for it, and
+/// takes turns in the given order until every program is done.
+pub(crate) fn drive(
+    config: &RunConfig,
+    shards: usize,
+    order: Turns,
+    programs: impl Iterator<Item = Box<dyn Program>>,
+) -> Driver {
+    let mut vmm = Vmm::new(
+        VmmConfig::builder()
+            .memory_bytes(config.memory_bytes)
+            .shards(shards)
+            .build(),
+        config.costs.clone(),
+    );
+    vmm.set_tracer(config.tracer.clone());
+    let mut jvms = Vec::with_capacity(programs.size_hint().0);
+    for program in programs {
+        let pid = vmm.register_process();
+        let mut heap = HeapConfig::builder()
+            .heap_bytes(config.heap_bytes)
+            .tracer(config.tracer.clone())
+            .sanitize(config.sanitize)
+            .gc_threads(config.gc_threads)
+            .build();
+        heap.sanitize_fault = config.sanitize_fault;
+        if let Some(policy) = config.policy {
+            heap.policy = policy;
+        }
+        let gc = config.collector.build(heap, &mut vmm, pid);
+        jvms.push(JvmProcess::new(pid, gc, program));
+    }
+    let signalmem = config
+        .pressure
+        .map(|pressure| Signalmem::new(pressure, vmm.register_process()));
+    let mut driver = Driver::new(vmm);
+    driver.jvms = jvms;
+    driver.signalmem = signalmem;
+    driver.max_turns = config.max_steps;
+    driver.order = order;
+    driver.run_to_completion();
+    driver
 }
 
 /// Runs one benchmark on one collector.
@@ -135,47 +174,19 @@ pub fn run(config: &RunConfig, program: Box<dyn Program>) -> RunResult {
 /// Runs `programs.len()` JVM instances simultaneously (each with its own
 /// `config.heap_bytes` heap), as in the paper's multiple-JVM experiment.
 pub fn run_multi(config: &RunConfig, programs: Vec<Box<dyn Program>>) -> MultiRunResult {
-    let mut vmm = Vmm::new(
-        VmmConfig::builder()
-            .memory_bytes(config.memory_bytes)
-            .build(),
-        config.costs.clone(),
-    );
-    vmm.set_tracer(config.tracer.clone());
-    let mut jvms = Vec::new();
-    for program in programs {
-        let pid = vmm.register_process();
-        let gc = config.collector.build_with_policy(
-            config.heap_bytes,
-            config.policy,
-            config.sanitize,
-            config.sanitize_fault,
-            config.gc_threads,
-            config.tracer.clone(),
-            &mut vmm,
-            pid,
-        );
-        jvms.push(JvmProcess::new(pid, gc, program));
-    }
-    let signalmem = config.pressure.map(|p| {
-        let pid = vmm.register_process();
-        Signalmem::new(p, pid)
-    });
-    let mut engine = Engine::new(vmm);
-    engine.jvms = jvms;
-    engine.signalmem = signalmem;
-    engine.max_steps = config.max_steps;
-    engine.run_to_completion();
-    let jvm_results: Vec<RunResult> = (0..engine.jvms.len())
-        .map(|i| collect_result(&engine, i))
+    let driver = drive(config, 1, Turns::LeastClock, programs.into_iter());
+    let jvms: Vec<RunResult> = driver
+        .jvms
+        .iter()
+        .map(|jvm| run_result(&driver, jvm, config.collector))
         .collect();
-    let total_elapsed = jvm_results
+    let total_elapsed = jvms
         .iter()
         .map(|r| r.exec_time)
         .max()
         .unwrap_or(Nanos::ZERO);
     MultiRunResult {
-        jvms: jvm_results,
+        jvms,
         total_elapsed,
     }
 }
@@ -215,64 +226,7 @@ pub fn min_heap_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Program, ProgramStatus};
-    use heap::{AllocKind, GcHeap, Handle, MemCtx, OutOfMemory};
-
-    /// A tiny test program: allocates `total` list nodes in batches,
-    /// keeping the last `live` alive.
-    struct Churn {
-        total: usize,
-        live: usize,
-        done: usize,
-        held: std::collections::VecDeque<Handle>,
-    }
-
-    impl Churn {
-        fn new(total: usize, live: usize) -> Churn {
-            Churn {
-                total,
-                live,
-                done: 0,
-                held: std::collections::VecDeque::new(),
-            }
-        }
-    }
-
-    impl Program for Churn {
-        fn step(
-            &mut self,
-            gc: &mut dyn GcHeap,
-            ctx: &mut MemCtx<'_>,
-        ) -> Result<ProgramStatus, OutOfMemory> {
-            for _ in 0..100 {
-                if self.done >= self.total {
-                    return Ok(ProgramStatus::Finished);
-                }
-                let h = gc.alloc(
-                    ctx,
-                    AllocKind::Scalar {
-                        data_words: 6,
-                        num_refs: 1,
-                    },
-                )?;
-                self.held.push_back(h);
-                if self.held.len() > self.live {
-                    let dead = self.held.pop_front().unwrap();
-                    gc.drop_handle(dead);
-                }
-                self.done += 1;
-            }
-            Ok(ProgramStatus::Running)
-        }
-
-        fn name(&self) -> &str {
-            "churn"
-        }
-
-        fn progress(&self) -> f64 {
-            self.done as f64 / self.total as f64
-        }
-    }
+    use crate::driver::tests::Churn;
 
     #[test]
     fn run_completes_and_reports_metrics() {
@@ -330,6 +284,7 @@ mod tests {
                 result.oom,
                 result.timed_out
             );
+            assert_eq!(result.collector, kind);
         }
     }
 

@@ -332,7 +332,11 @@ mod tests {
             );
             let mut clock = simtime::Clock::new();
             let pid = vmm.register_process();
-            let mut gc = kind.build(8 << 20, telemetry::Tracer::disabled(), &mut vmm, pid);
+            let mut gc = kind.build(
+                heap::HeapConfig::builder().heap_bytes(8 << 20).build(),
+                &mut vmm,
+                pid,
+            );
             let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
             let builder = TreeBuilder::new(1, 8, 0);
             let root = builder.build_tree(gc.as_mut(), &mut ctx, 8).unwrap();

@@ -546,8 +546,11 @@ mod distribution_tests {
         );
         let mut clock = Clock::new();
         let pid = vmm.register_process();
-        let mut gc =
-            CollectorKind::GenMs.build(64 << 20, telemetry::Tracer::disabled(), &mut vmm, pid);
+        let mut gc = CollectorKind::GenMs.build(
+            heap::HeapConfig::builder().heap_bytes(64 << 20).build(),
+            &mut vmm,
+            pid,
+        );
         let mut p = spec.program(scale, 99);
         loop {
             let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);

@@ -25,9 +25,12 @@
 //!    (`Vmm::touch_slow`, `BumpSpace::grow_and_alloc`, `Tracer::record`)
 //!    must keep their `#[cold]` attribute so the hot paths that call them
 //!    stay small.
-//! 4. **dead API tokens** — removed APIs must not creep back in; the one
-//!    registered token today is the deleted `Vmm::take_events` mailbox
-//!    drain (replaced by `drain_events_into`).
+//! 4. **dead API tokens** — removed APIs must not creep back in: the
+//!    deleted `Vmm::take_events` mailbox drain (replaced by
+//!    `drain_events_into`), the Vec-returning `Core::scan_refs`, and the
+//!    two halves of the duplicate run path — the eight-positional-argument
+//!    `CollectorKind::build_with_policy` (now `build(HeapConfig, ..)`) and
+//!    the second event loop's `deliver_signals` (now `Driver::deliver`).
 //! 5. **`#[inline]` registry** — the charged-access path (`Vmm::touch`,
 //!    `MemCtx::touch`, the `SimMemory` accessors, the `Core` object
 //!    primitives) crosses three crates and neither release profile has
@@ -184,6 +187,16 @@ fn dead_tokens() -> Vec<(String, &'static str)> {
         (
             ["core.scan_", "refs("].concat(),
             "scan into a reused buffer with Core::scan_refs_into",
+        ),
+        // The second run path (DESIGN.md §12.3): its collector factory and
+        // its delivery loop.
+        (
+            ["build_with_", "policy"].concat(),
+            "pass a HeapConfig to CollectorKind::build(HeapConfig, ..)",
+        ),
+        (
+            ["deliver_", "signals"].concat(),
+            "there is one delivery loop, Driver::deliver",
         ),
     ]
 }
@@ -674,19 +687,26 @@ mod tests {
 
     #[test]
     fn dead_api_token_is_flagged() {
-        let token = ["take_", "events"].concat();
-        let src = format!("fn drain(v: &mut Vmm) {{ v.{token}(pid); }}\n");
-        let stripped = strip_source(&src);
-        let mut out = Vec::new();
-        check_tokens(
-            "crates/simulate/src/runner.rs",
-            &stripped,
-            &dead_tokens(),
-            "dead-api",
-            &mut out,
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("drain_events_into"));
+        for (call, hint) in [
+            (["v.take_", "events(pid)"].concat(), "drain_events_into"),
+            (
+                ["kind.build_with_", "policy(heap, None)"].concat(),
+                "CollectorKind::build(HeapConfig",
+            ),
+            (["self.deliver_", "signals()"].concat(), "Driver::deliver"),
+        ] {
+            let stripped = strip_source(&format!("fn f() {{ {call}; }}\n"));
+            let mut out = Vec::new();
+            check_tokens(
+                "crates/simulate/src/runner.rs",
+                &stripped,
+                &dead_tokens(),
+                "dead-api",
+                &mut out,
+            );
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert!(out[0].message.contains(hint), "{out:?}");
+        }
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! mv tests/golden/fig5a.csv tests/golden/fig5a_quick.csv
 //! cargo run --release -p bench --bin figures -- fig_policy --quick --csv tests/golden > tests/golden/fig_policy_quick.txt
 //! mv tests/golden/fig_policy.csv tests/golden/fig_policy_quick.csv
+//! cargo run --release -p bench --bin figures -- fig7 --quick --csv tests/golden > tests/golden/fig7_quick.txt
+//! mv tests/golden/fig7_a.csv tests/golden/fig7_quick_a.csv
+//! mv tests/golden/fig7_b.csv tests/golden/fig7_quick_b.csv
 //! cargo run --release -p bench --bin figures -- fig7_scale --quick --csv tests/golden > tests/golden/fig7_scale_quick.txt
 //! mv tests/golden/fig7_scale.csv tests/golden/fig7_scale_quick.csv
 //! cargo run --release -p bench --bin figures -- fig_parallel --quick --csv tests/golden > tests/golden/fig_parallel_quick.txt
@@ -22,8 +25,8 @@
 //! ```
 
 use bench::pressure_figs::{
-    dominates, fig5a_report, fig7_scale_report, fig_parallel_report, fig_parallel_runs,
-    fig_policy_report, fig_policy_runs, PARALLEL_THREADS,
+    dominates, fig5a_report, fig7_report, fig7_scale_report, fig_parallel_report,
+    fig_parallel_runs, fig_policy_report, fig_policy_runs, PARALLEL_THREADS,
 };
 use bench::{fig2_report, Params};
 use simulate::{PolicyKind, SanitizeLevel};
@@ -83,8 +86,31 @@ fn figures_match_goldens_with_sanitize_full() {
     );
 }
 
+/// Figure 7 is the only figure whose cells put two VM-cooperative JVMs on
+/// one `Vmm`, so the only one where the order in which signals reach
+/// *different* processes could show.
+#[test]
+fn fig7_matches_golden() {
+    let (a, b) = fig7_report(&Params::quick());
+    assert_eq!(
+        format!("{a}\n{b}\n"),
+        include_str!("golden/fig7_quick.txt"),
+        "fig7 text output drifted from tests/golden/fig7_quick.txt"
+    );
+    assert_eq!(
+        a.to_csv(),
+        include_str!("golden/fig7_quick_a.csv"),
+        "fig7a CSV output drifted from tests/golden/fig7_quick_a.csv"
+    );
+    assert_eq!(
+        b.to_csv(),
+        include_str!("golden/fig7_quick_b.csv"),
+        "fig7b CSV output drifted from tests/golden/fig7_quick_b.csv"
+    );
+}
+
 /// The scaled multi-tenant sweep — hundreds to thousands of mutators over
-/// the sharded VMM and the time-slice scheduler — must be exactly as
+/// the sharded VMM in round-robin time slices — must be exactly as
 /// deterministic as the two-JVM figures, at every `--jobs` (each cell is
 /// one independent simulation, assembled by index).
 #[test]

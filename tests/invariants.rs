@@ -22,7 +22,11 @@ fn heap_budget_is_respected_at_completion() {
         );
         let mut clock = simtime::Clock::new();
         let pid = vmm.register_process();
-        let mut gc = kind.build(heap_bytes, telemetry::Tracer::disabled(), &mut vmm, pid);
+        let mut gc = kind.build(
+            heap::HeapConfig::builder().heap_bytes(heap_bytes).build(),
+            &mut vmm,
+            pid,
+        );
         let mut program = spec("_202_jess").unwrap().program(0.02, 1);
         loop {
             let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);

@@ -43,7 +43,11 @@ impl Driver {
         );
         let pid = vmm.register_process();
         let hog = vmm.register_process();
-        let gc = kind.build(heap_bytes, telemetry::Tracer::disabled(), &mut vmm, pid);
+        let gc = kind.build(
+            heap::HeapConfig::builder().heap_bytes(heap_bytes).build(),
+            &mut vmm,
+            pid,
+        );
         Driver {
             vmm,
             clock: Clock::new(),

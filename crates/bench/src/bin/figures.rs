@@ -6,6 +6,9 @@
 //!         [--sanitize off|checks|full] [--gc-threads N]
 //! ```
 //!
+//! Flags may come in any order. `--quick` is a sizing preset (scale 0.01,
+//! thinned sweeps); an explicit `--scale` overrides its scale.
+//!
 //! `--jobs N` fans the run matrix across N worker threads (default: all
 //! cores). Output is byte-identical for every N — each figure cell is an
 //! independent deterministic simulation, assembled by cell index.
@@ -47,12 +50,14 @@ fn main() {
     let mut which = String::from("all");
     let mut params = Params::standard();
     let mut csv_dir: Option<String> = None;
+    let mut quick = false;
+    let mut scale: Option<f64> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                params.scale = args[i].parse().expect("--scale takes a float");
+                scale = Some(args[i].parse().expect("--scale takes a float"));
             }
             "--seed" => {
                 i += 1;
@@ -62,13 +67,7 @@ fn main() {
                 i += 1;
                 params.jobs = args[i].parse().expect("--jobs takes an integer");
             }
-            "--quick" => {
-                // Preserve flags that are orthogonal to the sizing preset.
-                let (jobs, sanitize) = (params.jobs, params.sanitize);
-                params = Params::quick();
-                params.jobs = jobs;
-                params.sanitize = sanitize;
-            }
+            "--quick" => quick = true,
             "--sanitize" => {
                 i += 1;
                 params.sanitize = SanitizeLevel::parse(&args[i]).unwrap_or_else(|| {
@@ -95,9 +94,16 @@ fn main() {
         }
         i += 1;
     }
+    // `--quick` is only the sizing preset, applied after parsing so that no
+    // flag depends on its position; an explicit `--scale` wins over it.
+    if quick {
+        let preset = Params::quick();
+        (params.scale, params.sweep) = (preset.scale, preset.sweep);
+    }
+    params.scale = scale.unwrap_or(params.scale);
     eprintln!(
-        "# workload scale {} (1.0 = the paper's volumes), seed {}, jobs {}, sanitize {}",
-        params.scale, params.seed, params.jobs, params.sanitize
+        "# workload scale {} (1.0 = the paper's volumes), seed {}, jobs {}, sanitize {}, gc-threads {}",
+        params.scale, params.seed, params.jobs, params.sanitize, params.gc_threads
     );
     let run = |name: &str| which == "all" || which == name;
     if run("table1") {

@@ -33,7 +33,7 @@ pub enum SweepDepth {
     /// Every point the paper plots (the `figures` binary default).
     Full,
     /// A thinned sweep — endpoints plus the interesting middle — for
-    /// `cargo bench` and smoke tests.
+    /// `figures --quick`, the goldens and smoke tests.
     Quick,
 }
 
@@ -64,7 +64,8 @@ pub struct Params {
 }
 
 impl Params {
-    /// Tiny runs for tests and `cargo bench` (~1 % volume, thinned sweeps).
+    /// Tiny runs for tests and `figures --quick` (~1 % volume, thinned
+    /// sweeps).
     pub fn quick() -> Params {
         Params {
             scale: 0.01,

@@ -482,7 +482,7 @@ pub fn fig_parallel_report(params: &Params) -> Table {
 
 /// The tenancy axis of the scaled multiple-JVM experiment: from the
 /// paper's handful of simultaneous JVMs up to thousands of mutators.
-pub const FLEET_PROCS: [usize; 4] = [4, 64, 512, 2048];
+const FLEET_PROCS: [usize; 4] = [4, 64, 512, 2048];
 
 /// One `fig7_scale` cell: `n` tenants of `kind` splitting a constant
 /// aggregate pseudoJBB workload over a fixed machine, time-sliced

@@ -29,7 +29,7 @@ pub struct VmStats {
     /// Currently mlocked pages (subset of `resident`).
     pub locked: u64,
     /// Total `touch` calls by this process (every simulated memory access,
-    /// fast path or slow). Denominator for touches/sec in `simperf`.
+    /// fast path or slow). The count behind gcbench's `touches_per_s`.
     pub touches: u64,
 }
 

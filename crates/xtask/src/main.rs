@@ -19,8 +19,9 @@
 //!    names stay marked, so deleting the attribute is itself a lint error.
 //! 2. **determinism** — simulation crates never read the host clock or a
 //!    host RNG (`Instant::now`, `SystemTime`, `thread_rng`): all time is
-//!    simulated, all randomness is seeded. The perf harness (`bench`) and
-//!    the vendored dev shims are exempt.
+//!    simulated, all randomness is seeded. That includes `bench`, whose
+//!    `figures` output is golden-pinned; only the vendored dev shims are
+//!    exempt (the `criterion` shim does the benches' timing).
 //! 3. **`#[cold]` registry** — the designated slow-path outlines
 //!    (`Vmm::touch_slow`, `BumpSpace::grow_and_alloc`, `Tracer::record`)
 //!    must keep their `#[cold]` attribute so the hot paths that call them
@@ -103,18 +104,11 @@ const REQUIRED_ZERO_ALLOC: &[(&str, &str)] = &[
 /// Host-nondeterminism tokens banned from simulation crates.
 const DETERMINISM_BANNED: &[&str] = &["Instant::now", "SystemTime", "thread_rng"];
 
-/// Crates exempt from the determinism ban: the perf harness measures host
-/// wall-clock on purpose, and the vendored dev-dependency shims are not
-/// simulation code. (`xtask` is exempt from everything: it names the
-/// banned tokens.)
-const DETERMINISM_EXEMPT: &[&str] = &[
-    "bench",
-    "criterion",
-    "rand",
-    "proptest",
-    "xtask",
-    "zero_alloc",
-];
+/// Crates exempt from the determinism ban: the vendored dev-dependency
+/// shims are not simulation code, and `criterion` measures host wall-clock
+/// on purpose. (`xtask` is exempt from everything: it names the banned
+/// tokens.)
+const DETERMINISM_EXEMPT: &[&str] = &["criterion", "rand", "proptest", "xtask", "zero_alloc"];
 
 /// Slow-path outlines that must keep `#[cold]` (file suffix, fn name).
 const REQUIRED_COLD: &[(&str, &str)] = &[
@@ -561,8 +555,8 @@ fn lint_workspace(root: &Path) -> Vec<Violation> {
         for name in check_zero_alloc(&rel, &stripped, &mut out) {
             marked.push((rel.clone(), name));
         }
-        // `benchmark/` (gcbench) is a host-clock harness like `bench`, in a
-        // package of its own outside `crates/`.
+        // `benchmark/` (gcbench) is the host-clock harness, in a package of
+        // its own outside `crates/`.
         if !in_crate(&rel, DETERMINISM_EXEMPT) && !rel.starts_with("benchmark/") {
             check_tokens(&rel, &stripped, &determinism, "determinism", &mut out);
         }
@@ -831,13 +825,16 @@ mod tests {
     /// The packet scheduler lives in `heap`, which must never become
     /// determinism-exempt: its work-stealing order is part of the
     /// simulation's reproducibility contract (no host clocks, no RNG).
+    /// Nor may `bench`: `figures` output is pinned byte for byte by
+    /// `tests/golden/`, and host time is gcbench's job.
     #[test]
     fn heap_crate_stays_under_the_determinism_ban() {
-        assert!(
-            !DETERMINISM_EXEMPT.contains(&"heap"),
-            "crates/heap (packet tracing scheduler) must stay subject to \
-             the determinism lint"
-        );
+        for krate in ["heap", "bench"] {
+            assert!(
+                !DETERMINISM_EXEMPT.contains(&krate),
+                "crates/{krate} must stay subject to the determinism lint"
+            );
+        }
     }
 
     /// The real workspace must lint clean — this is the same pass CI runs.

@@ -6,15 +6,12 @@
 //! are not resident."
 
 use heap::Address;
+use vmm::pagemap::{leaf_slot, PageMap, LEAF_PAGES};
 use vmm::VirtPage;
 
-/// Pages covered by one lazily allocated chunk of the bit array.
-const CHUNK_PAGES: usize = 1024;
-/// 64-page words per chunk.
-const CHUNK_WORDS: usize = CHUNK_PAGES / 64;
-
-/// One chunk of the bit array: a set bit is an evicted page.
-type Chunk = [u64; CHUNK_WORDS];
+/// One leaf of the bit array, [`LEAF_PAGES`] pages in 64-page words: a set
+/// bit is an evicted page.
+type Bits = [u64; LEAF_PAGES / 64];
 
 /// The collector-side view of which heap pages are non-resident.
 ///
@@ -23,26 +20,26 @@ type Chunk = [u64; CHUNK_WORDS];
 /// eviction) and resident again on a `MadeResident` notification.
 ///
 /// This is the paper's bit array: one bit per page, so the per-edge
-/// residency test of a full collection is two indexed loads and a mask.
-/// The heap's regions span 3 GiB of address space, so the array sits under
-/// a directory of 1 024-page chunks (the shape of `vmm`'s page table and
-/// `SimMemory`'s page directory): a chunk is allocated when its first page
-/// is evicted, and a heap that never sees an eviction owns no memory here
-/// at all. Iteration is in ascending page order, so bookmark scans and
-/// fail-safe restores proceed in a fixed, run-independent order.
+/// residency test of a full collection is one page-map walk and a mask.
+/// The heap's regions span 3 GiB of address space, so the bits are the
+/// leaves of `vmm`'s radix [`PageMap`] (the map under the VMM's page table
+/// and `SimMemory`'s page directory), 16 bytes per 128 pages: a leaf is
+/// allocated when its first page is evicted and the map's root when the
+/// heap's first page is, so a heap that never sees an eviction owns no
+/// memory here at all. Iteration is in ascending page order, so bookmark
+/// scans and fail-safe restores proceed in a fixed, run-independent order.
 #[derive(Clone, Debug, Default)]
 pub struct ResidencyMap {
-    /// `chunks[c]` covers pages `c * 1024 .. (c + 1) * 1024`.
-    chunks: Vec<Option<Box<Chunk>>>,
+    /// `None` until the first eviction.
+    bits: Option<Box<PageMap<Bits>>>,
     /// Number of set bits.
     evicted: usize,
 }
 
-/// Splits a page number into (chunk, word-in-chunk, bit-in-word).
+/// Splits a page number into (word-in-leaf, bit-in-word).
 #[inline]
-fn locate(page: u32) -> (usize, usize, u64) {
-    let p = page as usize;
-    (p / CHUNK_PAGES, p % CHUNK_PAGES / 64, 1u64 << (p % 64))
+fn locate(page: u32) -> (usize, u64) {
+    (leaf_slot(page) / 64, 1u64 << (page % 64))
 }
 
 impl ResidencyMap {
@@ -51,23 +48,20 @@ impl ResidencyMap {
         ResidencyMap::default()
     }
 
-    /// The 64-page word holding `page`'s bit (zero where no chunk exists).
+    /// The 64-page word holding `page`'s bit (zero where no leaf exists).
     #[inline]
     fn word(&self, page: u32) -> u64 {
-        let (c, w, _) = locate(page);
-        match self.chunks.get(c) {
-            Some(Some(chunk)) => chunk[w],
-            _ => 0,
+        match self.bits.as_deref().and_then(|m| m.leaf(page)) {
+            Some(bits) => bits[locate(page).0],
+            None => 0,
         }
     }
 
     /// Records a page as evicted.
     pub fn mark_evicted(&mut self, page: VirtPage) {
-        let (c, w, bit) = locate(page.number());
-        if c >= self.chunks.len() {
-            self.chunks.resize_with(c + 1, || None);
-        }
-        let word = &mut self.chunks[c].get_or_insert_with(|| Box::new([0; CHUNK_WORDS]))[w];
+        let (w, bit) = locate(page.number());
+        let bits = self.bits.get_or_insert_default();
+        let word = &mut bits.leaf_or_insert_with(page.number(), Box::default)[w];
         self.evicted += usize::from(*word & bit == 0);
         *word |= bit;
     }
@@ -75,12 +69,16 @@ impl ResidencyMap {
     /// Records a page as resident again. Returns whether it had been
     /// tracked as evicted.
     pub fn mark_resident(&mut self, page: VirtPage) -> bool {
-        let (c, w, bit) = locate(page.number());
-        let Some(Some(chunk)) = self.chunks.get_mut(c) else {
+        let (w, bit) = locate(page.number());
+        let leaf = self
+            .bits
+            .as_deref_mut()
+            .and_then(|m| m.leaf_mut(page.number()));
+        let Some(bits) = leaf else {
             return false;
         };
-        let was_evicted = chunk[w] & bit != 0;
-        chunk[w] &= !bit;
+        let was_evicted = bits[w] & bit != 0;
+        bits[w] &= !bit;
         self.evicted -= usize::from(was_evicted);
         was_evicted
     }
@@ -124,13 +122,12 @@ impl ResidencyMap {
 
     /// The evicted pages, in ascending page order.
     pub fn evicted_pages(&self) -> impl Iterator<Item = VirtPage> + '_ {
-        self.chunks
+        self.bits
             .iter()
-            .enumerate()
-            .filter_map(|(c, chunk)| Some((c, chunk.as_deref()?)))
-            .flat_map(|(c, chunk)| {
-                chunk.iter().enumerate().flat_map(move |(w, &word)| {
-                    let first = (c * CHUNK_PAGES + w * 64) as u32;
+            .flat_map(|m| m.leaves())
+            .flat_map(|(first, bits)| {
+                bits.iter().enumerate().flat_map(move |(w, &word)| {
+                    let first = first + 64 * w as u32;
                     SetBits(word).map(move |bit| VirtPage::new(first + bit))
                 })
             })
@@ -138,7 +135,7 @@ impl ResidencyMap {
 
     /// Forgets all evictions (the §3.5 fail-safe makes everything resident).
     pub fn clear(&mut self) {
-        self.chunks.clear();
+        self.bits = None;
         self.evicted = 0;
     }
 }
@@ -208,24 +205,24 @@ mod tests {
     }
 
     impl ResidencyMap {
-        /// Chunks of the bit array that have been allocated.
-        fn allocated_chunks(&self) -> usize {
-            self.chunks.iter().flatten().count()
+        /// Leaves of the bit array that have been allocated.
+        fn allocated_leaves(&self) -> usize {
+            self.bits.iter().flat_map(|m| m.leaves()).count()
         }
     }
 
     #[test]
-    fn range_residency_crosses_words_and_chunks() {
+    fn range_residency_crosses_words_and_leaves() {
         let mut m = ResidencyMap::new();
         m.mark_evicted(VirtPage::new(64)); // first bit of word 1
         assert!(m.range_resident(Address(0), 64 * 4096));
         assert!(!m.range_resident(Address(0), 64 * 4096 + 1));
         assert!(!m.range_resident(Address(63 * 4096), 2 * 4096));
         m.mark_resident(VirtPage::new(64));
-        m.mark_evicted(VirtPage::new(1024)); // first bit of chunk 1
+        m.mark_evicted(VirtPage::new(1024)); // first bit of leaf 8
         assert!(m.range_resident(Address(1000 * 4096), 24 * 4096));
         assert!(!m.range_resident(Address(1000 * 4096), 25 * 4096));
-        // A range running through a chunk that was never allocated.
+        // A range running through leaves that were never allocated.
         assert!(!m.range_resident(Address(1024 * 4096), 3000 * 4096));
         assert!(m.range_resident(Address(1025 * 4096), 3000 * 4096));
     }
@@ -241,32 +238,32 @@ mod tests {
         assert!(!m.any_evicted());
     }
 
-    /// The regions span 3 GiB, but only the chunks an eviction lands in
-    /// exist — and none before the first eviction, so the thousands of
+    /// The regions span 3 GiB, but only the leaves an eviction lands in
+    /// exist — and nothing before the first eviction, so the thousands of
     /// heaps of a fleet that never evict pay nothing.
     #[test]
-    fn only_touched_chunks_are_allocated() {
+    fn only_touched_leaves_are_allocated() {
         let mut m = ResidencyMap::new();
         assert!(m.page_resident(VirtPage::new(590_848)));
         assert!(!m.mark_resident(VirtPage::new(590_848)));
         assert!(m.range_resident(Address(0x9040_0000), 1 << 20));
-        assert_eq!(m.chunks.capacity(), 0, "a never-evicted map owns no memory");
+        assert!(m.bits.is_none(), "a never-evicted map owns no memory");
 
         let nursery = Address(0x0040_0000).page();
         let los = Address(0x9040_0000).page();
         assert_eq!(los.number(), 590_848);
         m.mark_evicted(nursery);
         m.mark_evicted(los);
-        assert_eq!(m.allocated_chunks(), 2);
+        assert_eq!(m.allocated_leaves(), 2);
         assert_eq!(m.evicted_count(), 2);
         assert_eq!(m.evicted_pages().collect::<Vec<_>>(), vec![nursery, los]);
         // Lookups anywhere else allocate nothing.
         assert!(m.page_resident(VirtPage::new(300_000)));
         assert!(m.range_resident(Address(0x1040_0000), 64 << 20));
-        assert_eq!(m.allocated_chunks(), 2);
+        assert_eq!(m.allocated_leaves(), 2);
 
         m.clear();
-        assert_eq!(m.allocated_chunks(), 0);
+        assert!(m.bits.is_none());
         assert_eq!(m.evicted_pages().count(), 0);
     }
 
@@ -278,14 +275,16 @@ mod tests {
 
         use super::*;
 
-        /// A page near a word, chunk or region boundary, or anywhere.
+        /// A page near a word, leaf, inner-node or region boundary, or
+        /// anywhere.
         fn page() -> impl Strategy<Value = u32> {
             prop_oneof![
                 0u32..200,
                 960u32..1100,
+                16_370u32..16_400,
                 66_500u32..66_700,
                 590_840u32..590_860,
-                0u32..1_000_000,
+                0u32..1 << 20,
             ]
         }
 
@@ -315,7 +314,8 @@ mod tests {
                     }
                     prop_assert_eq!(map.evicted_count(), model.len());
                     prop_assert_eq!(map.any_evicted(), !model.is_empty());
-                    for q in [p.saturating_sub(1), p, p + 1, p ^ 64, p ^ 1024] {
+                    for q in [p.saturating_sub(1), p, p + 1, p ^ 64, p ^ 128, p ^ 1024, p ^ (1 << 14)] {
+                        let q = q % (1 << 20);
                         prop_assert_eq!(
                             map.page_resident(VirtPage::new(q)),
                             !model.contains(&q)
@@ -327,7 +327,10 @@ mod tests {
                     let start = p.saturating_sub(len / 4096 / 2);
                     let addr = Address(start * 4096 + offset);
                     for len in [0, 1, 4096 - offset, 4097 - offset, len] {
-                        let last = (addr.0 + len.max(1) - 1) / 4096;
+                        let Some(end) = addr.0.checked_add(len.max(1) - 1) else {
+                            continue;
+                        };
+                        let last = end / 4096;
                         let want = model.range(start..=last).next().is_none();
                         prop_assert_eq!(map.range_resident(addr, len), want,
                             "range {:?} + {}", addr, len);

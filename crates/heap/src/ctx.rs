@@ -164,6 +164,17 @@ mod tests {
             assert!(ctx.vmm.is_resident(pid, vmm::VirtPage::new(p)));
         }
         assert!(!ctx.vmm.is_resident(pid, vmm::VirtPage::new(3)));
+        // 100 bytes from 50 before the page 3 / page 4 boundary: those two
+        // pages, and not page 5.
+        let o = ctx.touch(&mut mem, Address(4 * 4096 - 50), 100, Access::Write);
+        assert!(o.zero_filled);
+        assert!(ctx.vmm.is_resident(pid, vmm::VirtPage::new(4)));
+        assert!(!ctx.vmm.is_resident(pid, vmm::VirtPage::new(5)));
+        // The outcomes are ORed: only the second page of this straddle is
+        // new, and the range still reports the demand-zero fill.
+        let o = ctx.touch(&mut mem, Address(5 * 4096 - 4), 8, Access::Read);
+        assert!(o.zero_filled);
+        assert!(ctx.vmm.is_resident(pid, vmm::VirtPage::new(5)));
     }
 
     /// One `Vmm::touch` per page of the range, whichever of `touch`'s two

@@ -14,37 +14,51 @@
 //! page-granular accessors ([`span`](SimMemory::span),
 //! [`span_mut`](SimMemory::span_mut), [`read_pair`](SimMemory::read_pair),
 //! [`write_pair`](SimMemory::write_pair),
-//! [`update_word`](SimMemory::update_word)) walk the two-level directory
-//! **once per page** and hand back the page's words, which is what the
-//! object primitives in [`crate::gc`] are built on (DESIGN.md §10.2). Both
-//! levels materialize exactly the same pages: reads never do, writes do.
+//! [`update_word`](SimMemory::update_word)) walk the page directory **once
+//! per page** and hand back the page's words, which is what the object
+//! primitives in [`crate::gc`] are built on (DESIGN.md §10.2). Both levels
+//! materialize exactly the same pages: reads never do, writes do.
+
+use vmm::pagemap::{PageMap, LEAF_PAGES};
 
 use crate::addr::{Address, BYTES_PER_PAGE, WORD};
 
 const PAGE: usize = BYTES_PER_PAGE as usize;
-
-/// Pages per directory chunk (4 MiB of simulated address space). The
-/// directory itself must be sparse, not just the page boxes: the heap
-/// layout spreads regions across a ~3 GiB span, and a dense
-/// `Vec<Option<..>>` indexed by raw page number costs megabytes of
-/// written host memory per process once a high region is touched — which
-/// multiplies ruinously in thousand-tenant fleet runs.
-const DIR_CHUNK: usize = 1024;
 
 /// Words per page.
 const PAGE_WORDS: usize = PAGE / 4;
 
 type PageBox = Option<Box<[u32; PAGE_WORDS]>>;
 
+/// The page directory: `vmm`'s radix [`PageMap`] with one page box per
+/// page, so it costs one 1 KiB inner node per 64 MiB region written and one
+/// 1 KiB leaf per 128 pages — what the heap uses, not the ~3 GiB the
+/// layout spans.
+type Directory = PageMap<[PageBox; LEAF_PAGES]>;
+
 /// What every never-materialized page reads as: [`SimMemory::span`] lends
 /// this instead of materializing, so a read costs no host memory.
 static ZERO_PAGE: [u32; PAGE_WORDS] = [0; PAGE_WORDS];
 
-/// A sparse, page-granular byte store over the 32-bit simulated space,
-/// organised as a two-level directory of lazily materialized pages.
+#[cold]
+#[inline(never)]
+fn empty_directory() -> Box<Directory> {
+    Box::default()
+}
+
+#[cold]
+#[inline(never)]
+fn zero_page() -> Box<[u32; PAGE_WORDS]> {
+    Box::new([0; PAGE_WORDS])
+}
+
+/// A sparse, page-granular byte store over the 32-bit simulated space: a
+/// radix page directory of lazily materialized 4 KiB pages. The directory's
+/// root is boxed and allocated by the first write, so a memory that was
+/// never written owns nothing and the struct is one pointer wide.
 #[derive(Default)]
 pub struct SimMemory {
-    dirs: Vec<Option<Box<[PageBox; DIR_CHUNK]>>>,
+    dir: Option<Box<Directory>>,
 }
 
 impl core::fmt::Debug for SimMemory {
@@ -63,59 +77,40 @@ impl SimMemory {
 
     /// The materialized page at `idx`, or `None` (reads as zero).
     #[inline]
-    fn page(&self, idx: usize) -> Option<&[u32; PAGE_WORDS]> {
-        self.dirs
-            .get(idx / DIR_CHUNK)?
-            .as_ref()?
-            .get(idx % DIR_CHUNK)?
-            .as_deref()
+    fn page(&self, idx: u32) -> Option<&[u32; PAGE_WORDS]> {
+        self.dir.as_deref()?.get(idx)?.as_deref()
     }
 
-    /// The slot holding page `idx`, if its directory chunk exists.
+    /// The slot holding page `idx`, if its directory leaf exists.
     #[inline]
-    fn slot_opt_mut(&mut self, idx: usize) -> Option<&mut PageBox> {
-        self.dirs
-            .get_mut(idx / DIR_CHUNK)?
-            .as_mut()?
-            .get_mut(idx % DIR_CHUNK)
+    fn slot_opt_mut(&mut self, idx: u32) -> Option<&mut PageBox> {
+        self.dir.as_deref_mut()?.get_mut(idx)
     }
 
     /// The materialized page at `idx` for writing, without materializing.
     #[inline]
-    fn page_opt_mut(&mut self, idx: usize) -> Option<&mut [u32; PAGE_WORDS]> {
+    fn page_opt_mut(&mut self, idx: u32) -> Option<&mut [u32; PAGE_WORDS]> {
         self.slot_opt_mut(idx)?.as_deref_mut()
     }
 
-    /// The slot holding page `idx`, materializing its directory chunk.
-    #[cold]
-    fn slot_mut(&mut self, idx: usize) -> &mut PageBox {
-        let (c, o) = (idx / DIR_CHUNK, idx % DIR_CHUNK);
-        if c >= self.dirs.len() {
-            self.dirs.resize_with(c + 1, || None);
-        }
-        &mut self.dirs[c].get_or_insert_with(|| Box::new([const { None }; DIR_CHUNK]))[o]
-    }
-
-    /// Page `idx` for writing, materialized on first use. The common case —
-    /// the page exists — is the same single walk a read takes; only a
-    /// first write goes through [`slot_mut`](SimMemory::slot_mut).
+    /// Page `idx` for writing, materialized on first use. One walk: the
+    /// loads a read makes, each level filled in by an outlined, cold
+    /// constructor if it is missing.
     #[inline]
-    fn page_mut(&mut self, idx: usize) -> &mut [u32; PAGE_WORDS] {
-        // Looked up twice because returning the `Some` borrow directly
-        // would pin `self` across the materializing arm; the second lookup
-        // repeats loads the first just made.
-        if self.page(idx).is_some() {
-            return self.page_opt_mut(idx).expect("present above");
-        }
-        self.slot_mut(idx)
-            .get_or_insert_with(|| Box::new([0; PAGE_WORDS]))
+    fn page_mut(&mut self, idx: u32) -> &mut [u32; PAGE_WORDS] {
+        self.dir
+            .get_or_insert_with(empty_directory)
+            .get_or_default(idx)
+            .get_or_insert_with(zero_page)
     }
 
     /// The page index and in-page word offset of a word-aligned address.
     #[inline]
-    fn locate(addr: Address) -> (usize, usize) {
-        let a = addr.0 as usize;
-        (a / PAGE, (a % PAGE) / 4)
+    fn locate(addr: Address) -> (u32, usize) {
+        (
+            addr.0 / BYTES_PER_PAGE,
+            (addr.0 % BYTES_PER_PAGE) as usize / 4,
+        )
     }
 
     /// Borrows up to `words` words starting at `addr`, clipped at the end
@@ -237,7 +232,7 @@ impl SimMemory {
         let end = start + bytes as u64;
         let mut a = start;
         while a < end {
-            let idx = (a / BYTES_PER_PAGE as u64) as usize;
+            let idx = (a / BYTES_PER_PAGE as u64) as u32;
             let off = (a % BYTES_PER_PAGE as u64) as usize / 4;
             let run = (((end - a) / 4) as usize).min(PAGE_WORDS - off);
             if let Some(p) = self.page_opt_mut(idx) {
@@ -264,9 +259,9 @@ impl SimMemory {
         while done < total {
             let s = src.0 as u64 + done;
             let d = dst.0 as u64 + done;
-            let s_idx = (s / BYTES_PER_PAGE as u64) as usize;
+            let s_idx = (s / BYTES_PER_PAGE as u64) as u32;
             let s_off = (s % BYTES_PER_PAGE as u64) as usize / 4;
-            let d_idx = (d / BYTES_PER_PAGE as u64) as usize;
+            let d_idx = (d / BYTES_PER_PAGE as u64) as u32;
             let d_off = (d % BYTES_PER_PAGE as u64) as usize / 4;
             let run = (((total - done) / 4) as usize)
                 .min(PAGE_WORDS - s_off)
@@ -291,10 +286,10 @@ impl SimMemory {
 
     /// Number of pages that have ever been written (for diagnostics).
     pub fn materialized_pages(&self) -> usize {
-        self.dirs
+        self.dir
             .iter()
-            .flatten()
-            .map(|d| d.iter().filter(|p| p.is_some()).count())
+            .flat_map(|d| d.leaves())
+            .map(|(_, leaf)| leaf.iter().filter(|p| p.is_some()).count())
             .sum()
     }
 }

@@ -47,6 +47,7 @@ mod config;
 mod events;
 mod lists;
 mod page;
+pub mod pagemap;
 mod stats;
 #[allow(clippy::module_inception)]
 mod vmm;

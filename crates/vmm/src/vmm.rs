@@ -25,6 +25,7 @@ use crate::lists::LazyQueue;
 use crate::page::{
     Access, ListTag, PageInfo, PageKey, PageState, ProcessId, TouchOutcome, VirtPage,
 };
+use crate::pagemap::{PageMap, LEAF_PAGES};
 use crate::stats::VmStats;
 
 /// Sentinel for [`Process::last_touched`]: no page is cached.
@@ -46,54 +47,18 @@ impl fmt::Display for ProcessTableFull {
 
 impl std::error::Error for ProcessTableFull {}
 
-/// Pages per page-table chunk: 4 MiB of simulated address space.
-const PT_CHUNK: usize = 1024;
-
-/// A two-level page table: a directory of on-demand 4 MiB chunks.
-///
-/// The heap layout scatters its regions across a ~3 GiB virtual span, so a
-/// dense `Vec<PageInfo>` indexed by raw page number costs megabytes of
-/// zero-filled host memory per process the moment a high region (e.g. the
-/// second semispace) is touched — ruinous for thousand-tenant fleets,
-/// where the tables dwarf every other allocation. Chunking keeps a lookup
-/// at two indexed loads while allocating only the spans a process actually
-/// uses. Entries in an allocated chunk default to an unmapped page, which
-/// is indistinguishable from the page being absent altogether.
-#[derive(Debug, Default)]
-struct PageTable {
-    chunks: Vec<Option<Box<[PageInfo; PT_CHUNK]>>>,
-}
-
-impl PageTable {
-    /// The entry for page-number `idx`, materialising its chunk if needed.
-    fn entry(&mut self, idx: usize) -> &mut PageInfo {
-        let (c, o) = (idx / PT_CHUNK, idx % PT_CHUNK);
-        if c >= self.chunks.len() {
-            self.chunks.resize_with(c + 1, || None);
-        }
-        &mut self.chunks[c].get_or_insert_with(|| Box::new([PageInfo::default(); PT_CHUNK]))[o]
-    }
-
-    fn get(&self, idx: usize) -> Option<&PageInfo> {
-        self.chunks
-            .get(idx / PT_CHUNK)?
-            .as_ref()
-            .map(|c| &c[idx % PT_CHUNK])
-    }
-
-    #[inline]
-    fn get_mut(&mut self, idx: usize) -> Option<&mut PageInfo> {
-        self.chunks
-            .get_mut(idx / PT_CHUNK)?
-            .as_mut()
-            .map(|c| &mut c[idx % PT_CHUNK])
-    }
-}
+/// A process's page table: one [`PageInfo`] per virtual page, in a
+/// [`PageMap`] whose root lives inline in the [`Process`], so a lookup is
+/// three masked loads with no pointer to the root in between. Leaves are
+/// allocated on a page's first touch (or first state change); an entry in
+/// an allocated leaf defaults to an unmapped page, which is
+/// indistinguishable from the page being absent altogether.
+type PageTable = PageMap<[PageInfo; LEAF_PAGES]>;
 
 /// One simulated process known to the manager.
 #[derive(Debug)]
 struct Process {
-    /// Two-level page table indexed by virtual page number.
+    /// The page table, indexed by virtual page number.
     pages: PageTable,
     /// Whether this process registered for paging notifications (§4.1:
     /// "When the application begins, it registers itself with the operating
@@ -130,11 +95,11 @@ impl Default for Process {
 
 impl Process {
     fn page(&mut self, page: VirtPage) -> &mut PageInfo {
-        self.pages.entry(page.index())
+        self.pages.get_or_default(page.number())
     }
 
     fn page_ref(&self, page: VirtPage) -> Option<&PageInfo> {
-        self.pages.get(page.index())
+        self.pages.get(page.number())
     }
 
     /// Drops the consecutive-touch cache if it refers to `page`.
@@ -702,7 +667,7 @@ impl Vmm {
         let ram_word = self.costs.ram_word;
         let proc = &mut self.processes[pid.index()];
         proc.stats.touches += 1;
-        if let Some(info) = proc.pages.get_mut(page.index()) {
+        if let Some(info) = proc.pages.get_mut(page.number()) {
             // Consecutive touches to the same page: the cache certifies the
             // fast-path invariant, so skip the state checks. The cached
             // page always has `pending_eviction`/`relinquished` clear (both
@@ -910,31 +875,6 @@ impl Vmm {
             }
         }
         panic!("out of physical memory: no evictable pages remain");
-    }
-
-    /// Touches every page overlapping `[addr, addr + len)`.
-    ///
-    /// Returns the combined outcome (fields OR-ed together).
-    pub fn touch_range(
-        &mut self,
-        pid: ProcessId,
-        addr: u32,
-        len: u32,
-        access: Access,
-        clock: &mut Clock,
-    ) -> TouchOutcome {
-        debug_assert!(len > 0);
-        let first = VirtPage::containing(addr).number();
-        let last = VirtPage::containing(addr + len - 1).number();
-        let mut combined = TouchOutcome::default();
-        for p in first..=last {
-            let o = self.touch(pid, VirtPage::new(p), access, clock);
-            combined.major_fault |= o.major_fault;
-            combined.zero_filled |= o.zero_filled;
-            combined.protection_fault |= o.protection_fault;
-            combined.events_queued |= o.events_queued;
-        }
-        combined
     }
 
     /// `madvise(MADV_DONTNEED)`: discards pages without write-back.
@@ -1385,18 +1325,6 @@ mod tests {
                 "page {p} evicted even though pressure was relieved"
             );
         }
-    }
-
-    #[test]
-    fn touch_range_spans_pages() {
-        let (mut vmm, mut clock) = small_vmm(32);
-        let pid = vmm.register_process();
-        // 100 bytes starting 50 bytes before a page boundary: 2 pages.
-        let o = vmm.touch_range(pid, 4096 - 50, 100, Access::Write, &mut clock);
-        assert!(o.zero_filled);
-        assert!(vmm.is_resident(pid, VirtPage::new(0)));
-        assert!(vmm.is_resident(pid, VirtPage::new(1)));
-        assert!(!vmm.is_resident(pid, VirtPage::new(2)));
     }
 
     #[test]

@@ -30,11 +30,12 @@
 //!    deleted `Vmm::take_events` mailbox drain (replaced by
 //!    `drain_events_into`), the Vec-returning `Core::scan_refs`, and the
 //!    two halves of the duplicate run path — the eight-positional-argument
-//!    `CollectorKind::build_with_policy` (now `build(HeapConfig, ..)`) and
-//!    the second event loop's `deliver_signals` (now `Driver::deliver`).
+//!    `CollectorKind::build_with_policy` (now `build(HeapConfig, ..)`),
+//!    the second event loop's `deliver_signals` (now `Driver::deliver`)
+//!    and `Vmm::touch_range`, a second copy of `MemCtx::touch`'s page loop.
 //! 5. **`#[inline]` registry** — the charged-access path (`Vmm::touch`,
-//!    `MemCtx::touch`, the `SimMemory` accessors, the `Core` object
-//!    primitives) crosses three crates and neither release profile has
+//!    `MemCtx::touch`, the `SimMemory` accessors and the page map's index
+//!    helpers under them, the `Core` object primitives) crosses three crates and neither release profile has
 //!    LTO, so each link must keep `#[inline]` or every simulated word
 //!    access becomes an out-of-line cross-crate call again (DESIGN.md
 //!    §10.2).
@@ -132,6 +133,11 @@ const REQUIRED_INLINE: &[(&str, &str)] = &[
     ("crates/heap/src/mem.rs", "read_pair"),
     ("crates/heap/src/mem.rs", "write_pair"),
     ("crates/heap/src/mem.rs", "update_word"),
+    // The page map's index helpers: its generic lookups are instantiated
+    // in `heap` and `bookmarking`, but these are not.
+    ("crates/vmm/src/pagemap.rs", "leaf_slot"),
+    ("crates/vmm/src/pagemap.rs", "root_index"),
+    ("crates/vmm/src/pagemap.rs", "inner_index"),
     ("crates/heap/src/gc.rs", "header"),
     ("crates/heap/src/gc.rs", "header_or_forward"),
     ("crates/heap/src/gc.rs", "write_header"),
@@ -191,6 +197,11 @@ fn dead_tokens() -> Vec<(String, &'static str)> {
         (
             ["deliver_", "signals"].concat(),
             "there is one delivery loop, Driver::deliver",
+        ),
+        // The VMM's copy of `MemCtx::touch`'s page loop.
+        (
+            ["touch_", "range("].concat(),
+            "touch a byte range through MemCtx::touch, one Vmm::touch per page",
         ),
     ]
 }
@@ -688,6 +699,10 @@ mod tests {
                 "CollectorKind::build(HeapConfig",
             ),
             (["self.deliver_", "signals()"].concat(), "Driver::deliver"),
+            (
+                ["vmm.touch_", "range(pid, 0, 8, Access::Read, clock)"].concat(),
+                "MemCtx::touch",
+            ),
         ] {
             let stripped = strip_source(&format!("fn f() {{ {call}; }}\n"));
             let mut out = Vec::new();

@@ -40,9 +40,7 @@ impl Bookmarking {
             match ev {
                 VmEvent::EvictionScheduled { page } => {
                     self.shrink_to_footprint(ctx);
-                    if self.page_is_empty(ctx, page) {
-                        ctx.vmm.madvise_dontneed(ctx.pid, &[page], ctx.clock);
-                        self.core.stats.pages_discarded += 1;
+                    if self.discard_if_empty(ctx, page) {
                         continue;
                     }
                     let _ = self.discard_empties_inner(ctx, DISCARD_BATCH, 0);
@@ -105,9 +103,7 @@ impl Bookmarking {
         // stop growing, pin the heap budget to the current footprint.
         self.shrink_to_footprint(ctx);
         // An empty victim can simply be given up.
-        if self.page_is_empty(ctx, page) {
-            ctx.vmm.madvise_dontneed(ctx.pid, &[page], ctx.clock);
-            self.core.stats.pages_discarded += 1;
+        if self.discard_if_empty(ctx, page) {
             return;
         }
         // Prefer handing the VMM an empty page over losing a live one:
@@ -167,10 +163,8 @@ impl Bookmarking {
         if !self.options.bookmarking {
             return; // resizing-only instances just take the later faults
         }
-        if self.page_is_empty(ctx, page) {
-            // Nothing lives there: drop the swap copy too.
-            ctx.vmm.madvise_dontneed(ctx.pid, &[page], ctx.clock);
-            self.core.stats.pages_discarded += 1;
+        // Nothing lives on an empty page: drop the swap copy too.
+        if self.discard_if_empty(ctx, page) {
             return;
         }
         if self.must_stay_resident(page) {
@@ -356,6 +350,18 @@ impl Bookmarking {
         true // space_b and anything else is unused by BC
     }
 
+    /// Gives `page` back to the VMM if nothing lives on it (§3.3.2), through
+    /// [`MemCtx::madvise_dontneed`], which drops its host page too. Returns
+    /// whether it did.
+    fn discard_if_empty(&mut self, ctx: &mut MemCtx<'_>, page: VirtPage) -> bool {
+        if !self.page_is_empty(ctx, page) {
+            return false;
+        }
+        ctx.madvise_dontneed(&mut self.core.mem, &[page]);
+        self.core.stats.pages_discarded += 1;
+        true
+    }
+
     /// Finds up to `max` empty resident pages *beyond the reserve* and
     /// discards them (§3.3.2/§3.4.3), returning how many were discarded.
     /// Returning 0 therefore means "only the reserve remains" — the signal
@@ -429,8 +435,7 @@ impl Bookmarking {
         // Zero when at most the reserve remains.
         let discarded = pages.len().saturating_sub(hold_back).min(max);
         if discarded > 0 {
-            ctx.vmm
-                .madvise_dontneed(ctx.pid, &pages[..discarded], ctx.clock);
+            ctx.madvise_dontneed(&mut self.core.mem, &pages[..discarded]);
             self.core.stats.pages_discarded += discarded as u64;
         }
         if let Some(tail_from) = tail {

@@ -848,3 +848,75 @@ fn discard_frontier_matches_full_scan_on_random_schedules() {
         );
     }
 }
+
+/// Every page BC's simulated memory holds is one the VMM maps: resident,
+/// or evicted with its contents on swap. BC gives pages back through
+/// `MemCtx::madvise_dontneed`, which drops a discarded page from
+/// `core.mem` along with its frame, so no `Unmapped` page keeps a host
+/// page (DESIGN.md §10.6). This drives BC through the signalmem-style ramp
+/// of `apply_pressure`, with bursts of garbage in between, and checks the
+/// invariant after every step. The sanitizer is off: its canaries are
+/// written without a touch and may land on unmapped pages.
+#[test]
+fn discarded_pages_own_no_host_memory() {
+    use heap::SanitizeLevel;
+    use vmm::{PageState, VirtPage};
+
+    fn assert_mapped(gc: &Bookmarking, e: &Env, when: &str) {
+        for page in gc.core.mem.materialized() {
+            assert_ne!(
+                e.vmm.page_state(e.pid, VirtPage::new(page)),
+                PageState::Unmapped,
+                "{when}: page {page} is unmapped but still held ({} discarded)",
+                gc.stats().pages_discarded
+            );
+        }
+    }
+
+    let mut e = env(4 << 20); // 1024 frames
+    let config = HeapConfig::builder()
+        .heap_bytes(2 << 20)
+        .sanitize(SanitizeLevel::Off)
+        .build();
+    let mut gc = Bookmarking::new(config, BcOptions::default());
+    gc.register(&mut e.vmm, e.pid);
+    let keep = {
+        let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+        let keep = make_list(&mut gc, &mut ctx, 12_000);
+        let junk = make_list(&mut gc, &mut ctx, 20_000);
+        gc.drop_handle(junk);
+        gc.collect(&mut ctx, CollectKind::Full);
+        keep
+    };
+    assert_mapped(&gc, &e, "before pressure");
+    let mut pinned = 0u32;
+    for round in 0..300 {
+        // Ramp: pin four pages while the machine has frames to give, and
+        // let the collector react.
+        for _ in 0..4 {
+            if e.vmm.free_frames() <= 8 {
+                break;
+            }
+            e.vmm.mlock(e.hog, VirtPage::new(pinned), &mut e.clock);
+            pinned += 1;
+        }
+        step(&mut gc, &mut e.vmm, &mut e.clock, e.pid);
+        assert_mapped(&gc, &e, &format!("round {round}, after the ramp"));
+        // A burst of garbage refills the nursery BC just emptied.
+        {
+            let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+            for _ in 0..400 {
+                let h = gc.alloc(&mut ctx, list_kind()).unwrap();
+                gc.drop_handle(h);
+            }
+        }
+        assert_mapped(&gc, &e, &format!("round {round}, after the burst"));
+    }
+    assert!(
+        gc.stats().pages_discarded > 100,
+        "the ramp discarded too little: {:?}",
+        gc.stats()
+    );
+    let mut ctx = MemCtx::new(&mut e.vmm, &mut e.clock, e.pid);
+    assert_eq!(list_len(&mut gc, &mut ctx, keep), 12_000);
+}

@@ -1,7 +1,7 @@
 //! Charged memory access: every heap touch goes through the simulated VMM.
 
 use simtime::Clock;
-use vmm::{Access, ProcessId, TouchOutcome, Vmm};
+use vmm::{Access, PageState, ProcessId, TouchOutcome, VirtPage, Vmm};
 
 use crate::addr::{Address, BYTES_PER_PAGE};
 use crate::mem::SimMemory;
@@ -57,6 +57,10 @@ impl<'a> MemCtx<'a> {
     }
 
     /// One charged page touch plus the demand-zero fill it may call for.
+    /// A page discarded through [`madvise_dontneed`](MemCtx::madvise_dontneed)
+    /// is already gone from `mem`, so its fill is a no-op; the fill wipes
+    /// what else can be left under an unmapped page — a page a raw
+    /// [`Vmm::madvise_dontneed`] discarded, or one written without a touch.
     #[inline(always)]
     fn touch_page(&mut self, mem: &mut SimMemory, page: u32, access: Access) -> TouchOutcome {
         let o = self
@@ -104,6 +108,21 @@ impl<'a> MemCtx<'a> {
         mem.write_word(addr, value);
     }
 
+    /// `madvise(MADV_DONTNEED)` for this process: the VMM frees the frames
+    /// and swap copies of `pages` ([`Vmm::madvise_dontneed`]), and every
+    /// page it actually discarded — now [`PageState::Unmapped`] — is
+    /// dropped from `mem` too, so a page the heap gives back owns no host
+    /// memory (DESIGN.md §10.6). Locked pages are skipped by the VMM and
+    /// keep their contents.
+    pub fn madvise_dontneed(&mut self, mem: &mut SimMemory, pages: &[VirtPage]) {
+        self.vmm.madvise_dontneed(self.pid, pages, self.clock);
+        for &page in pages {
+            if self.vmm.page_state(self.pid, page) == PageState::Unmapped {
+                mem.discard(page.number());
+            }
+        }
+    }
+
     /// Major faults this process has taken so far (for attribution).
     pub fn major_faults(&self) -> u64 {
         self.vmm.stats(self.pid).major_faults
@@ -145,10 +164,37 @@ mod tests {
         let mut mem = SimMemory::new();
         let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
         ctx.write_word(&mut mem, Address(0x2000), 1234);
-        let page = Address(0x2000).page();
-        ctx.vmm.madvise_dontneed(pid, &[page], ctx.clock);
-        // The simulated memory still holds stale bytes, but a charged read
-        // must observe the demand-zero fill.
+        // A second page, locked: the VMM skips it.
+        ctx.write_word(&mut mem, Address(0x3000), 5678);
+        ctx.vmm.mlock(pid, Address(0x3000).page(), ctx.clock);
+        assert_eq!(mem.materialized_pages(), 2);
+        let pages = [Address(0x2000).page(), Address(0x3000).page()];
+        ctx.madvise_dontneed(&mut mem, &pages);
+        // The discarded page is gone from the simulated memory before any
+        // touch: a raw read sees zero and its host page is freed.
+        assert_eq!(ctx.vmm.page_state(pid, pages[0]), PageState::Unmapped);
+        assert_eq!(mem.read_word(Address(0x2000)), 0);
+        assert_eq!(mem.materialized().collect::<Vec<_>>(), [pages[1].number()]);
+        // The locked page keeps its frame, its contents and its host page.
+        assert_eq!(ctx.vmm.page_state(pid, pages[1]), PageState::Resident);
+        assert_eq!(mem.read_word(Address(0x3000)), 5678);
+        // A charged read observes the demand-zero fill.
+        assert_eq!(ctx.read_word(&mut mem, Address(0x2000)), 0);
+        assert_eq!(ctx.read_word(&mut mem, Address(0x3000)), 5678);
+        assert_eq!(mem.materialized_pages(), 1);
+    }
+
+    /// A raw `Vmm::madvise_dontneed` leaves the host page in place; the
+    /// next charged touch wipes it.
+    #[test]
+    fn raw_vmm_discards_are_wiped_at_the_next_touch() {
+        let (mut vmm, mut clock) = ctx_parts();
+        let pid = vmm.register_process();
+        let mut mem = SimMemory::new();
+        MemCtx::new(&mut vmm, &mut clock, pid).write_word(&mut mem, Address(0x2000), 1234);
+        vmm.madvise_dontneed(pid, &[Address(0x2000).page()], &mut clock);
+        assert_eq!(mem.read_word(Address(0x2000)), 1234);
+        let mut ctx = MemCtx::new(&mut vmm, &mut clock, pid);
         assert_eq!(ctx.read_word(&mut mem, Address(0x2000)), 0);
     }
 

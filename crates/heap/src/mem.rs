@@ -1,9 +1,15 @@
 //! The byte-addressable simulated memory backing a process's heap.
 //!
 //! Pages are materialized lazily on first write. Contents survive simulated
-//! eviction (as they would on a swap device); a page discarded via
-//! `madvise(MADV_DONTNEED)` must be re-zeroed by the caller, which is what
-//! [`MemCtx`](crate::MemCtx) does when the VMM reports a demand-zero fill.
+//! eviction (as they would on a swap device). A page discarded via
+//! `madvise(MADV_DONTNEED)` is dropped at the discard:
+//! [`MemCtx::madvise_dontneed`](crate::MemCtx::madvise_dontneed) calls
+//! [`discard`](SimMemory::discard) for every page the VMM actually gave up,
+//! so it owns no host memory and reads as zero from then on. A page that
+//! holds bytes the VMM no longer maps for some other reason (a raw
+//! `Vmm::madvise_dontneed`, a write that never touched the VMM) is wiped by
+//! [`MemCtx`](crate::MemCtx) at its next touch, when the VMM reports a
+//! demand-zero fill.
 //!
 //! `SimMemory` performs **no cost accounting**: it is raw storage. All
 //! charged access goes through [`MemCtx`](crate::MemCtx).
@@ -284,13 +290,32 @@ impl SimMemory {
         }
     }
 
-    /// Number of pages that have ever been written (for diagnostics).
-    pub fn materialized_pages(&self) -> usize {
+    /// Drops page `page` and the 4 KiB it owns: it reads as zero until the
+    /// next write materializes it again. The radix leaf above it stays, so
+    /// a later write there allocates only the page. A no-op for a page that
+    /// was never materialized.
+    pub fn discard(&mut self, page: u32) {
+        if let Some(slot) = self.slot_opt_mut(page) {
+            *slot = None;
+        }
+    }
+
+    /// The numbers of the pages this memory holds, in ascending order.
+    pub fn materialized(&self) -> impl Iterator<Item = u32> + '_ {
         self.dir
             .iter()
             .flat_map(|d| d.leaves())
-            .map(|(_, leaf)| leaf.iter().filter(|p| p.is_some()).count())
-            .sum()
+            .flat_map(|(first, leaf)| {
+                (first..)
+                    .zip(leaf.iter())
+                    .filter_map(|(page, slot)| slot.as_ref().map(|_| page))
+            })
+    }
+
+    /// Number of pages this memory holds: written and not discarded since
+    /// (for diagnostics).
+    pub fn materialized_pages(&self) -> usize {
+        self.materialized().count()
     }
 }
 
@@ -393,6 +418,27 @@ mod tests {
             assert_eq!(mem.read_word(Address(off)), 0);
         }
         assert_eq!(mem.read_word(Address(64)), 3);
+    }
+
+    #[test]
+    fn discard_drops_the_page_and_reads_zero() {
+        let mut mem = SimMemory::new();
+        for page in [1u32, 2, 200] {
+            mem.write_word(Address(page * BYTES_PER_PAGE + 8), page);
+        }
+        assert_eq!(mem.materialized().collect::<Vec<_>>(), [1, 2, 200]);
+        mem.discard(2);
+        // Never materialized, or in a leaf that does not exist: no-ops.
+        mem.discard(3);
+        mem.discard(0x8_0000);
+        assert_eq!(mem.materialized().collect::<Vec<_>>(), [1, 200]);
+        assert_eq!(mem.materialized_pages(), 2);
+        assert_eq!(mem.read_word(Address(2 * BYTES_PER_PAGE + 8)), 0);
+        assert_eq!(mem.read_word(Address(BYTES_PER_PAGE + 8)), 1);
+        mem.write_word(Address(2 * BYTES_PER_PAGE + 4), 5);
+        assert_eq!(mem.read_word(Address(2 * BYTES_PER_PAGE + 4)), 5);
+        assert_eq!(mem.read_word(Address(2 * BYTES_PER_PAGE + 8)), 0);
+        assert_eq!(mem.materialized_pages(), 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The two per-process page maps — the VMM's page table and `SimMemory`'s
 //! page directory — under a counting global allocator: what a process's
-//! first touches cost in host bytes, and what the maps answer against a
-//! `BTreeMap` model, reads allocating nothing.
+//! first touches cost in host bytes, what a discard gives back, and what
+//! the maps answer against a `BTreeMap` model, reads allocating nothing.
 //!
 //! This lives in its own test binary so the global allocator cannot
 //! interfere with other tests. The counters are per thread (as in
@@ -17,11 +17,16 @@ thread_local! {
     // stays valid for the whole life of the thread.
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
     static BYTES: Cell<usize> = const { Cell::new(0) };
+    static FREED: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
     BYTES.with(|n| n.set(n.get() + bytes));
+}
+
+fn count_free(bytes: usize) {
+    FREED.with(|n| n.set(n.get() + bytes));
 }
 
 struct CountingAlloc;
@@ -34,11 +39,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        count_free(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
         count(new_size);
+        count_free(layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-use heap::{Address, Layout, SimMemory, BYTES_PER_PAGE};
+use heap::{Address, Layout, MemCtx, SimMemory, BYTES_PER_PAGE};
 use simtime::{Clock, CostModel};
 use vmm::{Access, PageState, VirtPage, Vmm, VmmConfig};
 
@@ -70,6 +77,9 @@ fn roomy_vmm() -> Vmm {
 /// LRU queue — 16 928 bytes. The 4 KiB page boxes themselves are not the
 /// directory's and are subtracted. Maps of 8 KiB chunks under directory
 /// vectors dense up to the LOS request 82 144 bytes here.
+///
+/// Discarding the four pages through `MemCtx::madvise_dontneed` then frees
+/// exactly their four 4 KiB page boxes; the directory nodes stay.
 #[test]
 fn page_maps_cost_what_a_process_touches() {
     const BOUND: usize = 20 << 10;
@@ -95,6 +105,12 @@ fn page_maps_cost_what_a_process_touches() {
         "one page in each of four regions cost {directory} bytes of SimMemory \
          directory and {page_table} of VMM page table; the bound is {BOUND}"
     );
+
+    let pages = region_bases().map(VirtPage::new);
+    FREED.set(0);
+    MemCtx::new(&mut vmm, &mut clock, pid).madvise_dontneed(&mut mem, &pages);
+    assert_eq!(FREED.get(), 4 * BYTES_PER_PAGE as usize);
+    assert_eq!(mem.materialized_pages(), 0);
 }
 
 #[cfg(not(miri))]
@@ -124,7 +140,7 @@ mod props {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Both maps against ordered-map models, after every step of a
-        /// random script of writes, discards and `materialized_pages()`
+        /// random script of writes, discards and `materialized()`
         /// calls that always starts by writing page 0, page 2^20 - 1 and
         /// the four region bases. Every step reads back the page it used
         /// and the twenty pages one bit away from it, so a page number bit
@@ -139,8 +155,8 @@ mod props {
             let mut vmm = roomy_vmm();
             let pid = vmm.register_process();
             let mut clock = Clock::new();
-            // Simulated memory: address -> word; pages ever written. VMM:
-            // pages mapped.
+            // Simulated memory: address -> word; pages written and not
+            // discarded since. VMM: pages mapped.
             let mut words: BTreeMap<u32, u32> = BTreeMap::new();
             let mut written: BTreeSet<u32> = BTreeSet::new();
             let mut mapped: BTreeSet<u32> = BTreeSet::new();
@@ -158,18 +174,19 @@ mod props {
                         mapped.insert(p);
                     }
                     5 | 6 => {
-                        // A discard: the page's frame goes, and its words
-                        // read as zero (`zero` never materializes a page).
-                        vmm.madvise_dontneed(pid, &[VirtPage::new(p)], &mut clock);
-                        mem.zero(Address(p * BYTES_PER_PAGE), BYTES_PER_PAGE);
+                        // A discard: the page's frame and its host page go,
+                        // and its words read as zero.
+                        MemCtx::new(&mut vmm, &mut clock, pid)
+                            .madvise_dontneed(&mut mem, &[VirtPage::new(p)]);
                         let page_words = p * BYTES_PER_PAGE..=addr | (BYTES_PER_PAGE - 4);
                         let gone: Vec<u32> = words.range(page_words).map(|(&a, _)| a).collect();
                         for a in gone {
                             words.remove(&a);
                         }
+                        written.remove(&p);
                         mapped.remove(&p);
                     }
-                    _ => prop_assert_eq!(mem.materialized_pages(), written.len()),
+                    _ => prop_assert!(mem.materialized().eq(written.iter().copied())),
                 }
 
                 ALLOCS.set(0);

@@ -141,8 +141,11 @@ pub enum PageState {
 pub struct TouchOutcome {
     /// The page was read back from swap (a major fault was charged).
     pub major_fault: bool,
-    /// The page was freshly demand-zero mapped; the caller's backing store
-    /// for it must be zeroed (contents of a discarded page do not survive).
+    /// The page was freshly demand-zero mapped: contents of a discarded page
+    /// do not survive, so the caller's backing store for it must read as
+    /// zero. The heap drops a page it discards from its store at the
+    /// discard (`heap::MemCtx::madvise_dontneed`); its touch path zeroes
+    /// whatever else is left under a page the VMM does not map.
     pub zero_filled: bool,
     /// The page was protected; a [`VmEvent::ProtectionFault`] was queued for
     /// the owner and the protection was removed.

@@ -880,9 +880,12 @@ impl Vmm {
     /// `madvise(MADV_DONTNEED)`: discards pages without write-back.
     ///
     /// Resident frames are freed immediately; evicted copies are dropped.
-    /// The contents do not survive — the next touch is a demand-zero fill.
-    /// This is how collectors return empty heap pages to the system (§3.3.2).
-    /// Locked pages are skipped.
+    /// The contents do not survive — the page is [`PageState::Unmapped`]
+    /// and its next touch is a demand-zero fill. This is how collectors
+    /// return empty heap pages to the system (§3.3.2). Locked pages are
+    /// skipped. The VMM holds no page contents: the heap calls this through
+    /// `heap::MemCtx::madvise_dontneed`, which then drops the discarded
+    /// pages from its simulated memory too.
     pub fn madvise_dontneed(&mut self, pid: ProcessId, pages: &[VirtPage], clock: &mut Clock) {
         clock.advance(self.costs.syscall);
         let home = self.shard_of(pid);

@@ -203,6 +203,12 @@ fn dead_tokens() -> Vec<(String, &'static str)> {
             ["touch_", "range("].concat(),
             "touch a byte range through MemCtx::touch, one Vmm::touch per page",
         ),
+        // A heap discarding a frame and keeping its host page (DESIGN.md
+        // §10.6).
+        (
+            ["ctx.vmm.madvise_", "dontneed("].concat(),
+            "MemCtx::madvise_dontneed, which drops the host page too",
+        ),
     ]
 }
 
@@ -702,6 +708,10 @@ mod tests {
             (
                 ["vmm.touch_", "range(pid, 0, 8, Access::Read, clock)"].concat(),
                 "MemCtx::touch",
+            ),
+            (
+                ["ctx.vmm.madvise_", "dontneed(ctx.pid, &[page], ctx.clock)"].concat(),
+                "MemCtx::madvise_dontneed",
             ),
         ] {
             let stripped = strip_source(&format!("fn f() {{ {call}; }}\n"));

@@ -549,12 +549,13 @@ impl Bookmarking {
             // remembered-set entry went missing.
             self.sanitize_shadow("after-trace", "collected nursery", false);
         }
-        let _ = self.nursery.release_all(&mut self.core.pool);
+        self.nursery
+            .release_all(&mut self.core.pool, &mut self.core.mem);
         if self.core.sanitize_full() {
             self.sanitize_shadow("after-collection", "released nursery", false);
         }
         self.core
-            .sanitize_physical_checks(ctx, Some(&self.ms), &[&self.nursery]);
+            .sanitize_physical_checks(ctx, Some(&self.ms), &self.los, &[&self.nursery]);
         self.phase = Phase::Idle;
         self.core.stats.nursery_gcs += 1;
         self.recompute_nursery_limit();
@@ -675,13 +676,14 @@ impl Bookmarking {
         }
         self.core.phase_begin(ctx, GcPhase::Sweep);
         self.sweep_resident(ctx, false);
-        let _ = self.nursery.release_all(&mut self.core.pool);
+        self.nursery
+            .release_all(&mut self.core.pool, &mut self.core.mem);
         self.core.phase_end(ctx, GcPhase::Sweep);
         if self.core.sanitize_full() {
             self.sanitize_shadow("after-collection", "swept space", false);
         }
         self.core
-            .sanitize_physical_checks(ctx, Some(&self.ms), &[&self.nursery]);
+            .sanitize_physical_checks(ctx, Some(&self.ms), &self.los, &[&self.nursery]);
         self.wbuf.retain_entries(Vec::new());
         self.cards.clear();
         self.phase = Phase::Idle;
@@ -937,6 +939,10 @@ impl GcHeap for Bookmarking {
 
     fn pause_log(&self) -> &PauseLog {
         &self.core.pauses
+    }
+
+    fn exit(&mut self) {
+        self.core.exit();
     }
 
     fn tracer(&self) -> &Tracer {

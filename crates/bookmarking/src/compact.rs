@@ -144,7 +144,8 @@ impl Bookmarking {
         // ---- Free every non-target superpage wholesale.
         for sp in self.ms.assigned_sps() {
             if !self.compact_targets.contains(&sp.0) {
-                self.ms.release_sp(&mut self.core.pool, sp);
+                self.ms
+                    .release_sp(&mut self.core.pool, &mut self.core.mem, sp);
             }
         }
         // ---- Clear marks on the survivors.
@@ -158,7 +159,8 @@ impl Bookmarking {
         for (obj, _pages) in self.los.objects() {
             self.core.clear_mark(ctx, obj);
         }
-        let _ = self.nursery.release_all(&mut self.core.pool);
+        self.nursery
+            .release_all(&mut self.core.pool, &mut self.core.mem);
         self.visited.clear();
         self.compact_targets.clear();
         self.target_alloc.clear();
@@ -167,7 +169,7 @@ impl Bookmarking {
             self.sanitize_compacted();
         }
         self.core
-            .sanitize_physical_checks(ctx, Some(&self.ms), &[&self.nursery]);
+            .sanitize_physical_checks(ctx, Some(&self.ms), &self.los, &[&self.nursery]);
         self.phase = Phase::Idle;
         self.core.stats.full_gcs += 1;
         self.core.stats.compacting_gcs += 1;

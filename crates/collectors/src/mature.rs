@@ -5,7 +5,8 @@
 use std::fmt::Debug;
 
 use heap::{
-    Address, AllocKind, BumpSpace, HeapConfig, MsSpace, ObjectKind, PagePool, BYTES_PER_PAGE,
+    Address, AllocKind, BumpSpace, HeapConfig, MsSpace, ObjectKind, PagePool, SimMemory,
+    BYTES_PER_PAGE,
 };
 
 /// What a [`Plan`](crate::Plan) asks of its mature space. The space only
@@ -38,8 +39,8 @@ pub trait Mature: Sized + Debug {
     fn survivor_cell(&mut self, pool: &mut PagePool, kind: ObjectKind, full: bool) -> Address;
 
     /// Ends a whole-heap collection: gives back whatever
-    /// [`condemns`](Mature::condemns) named.
-    fn release_condemned(&mut self, pool: &mut PagePool);
+    /// [`condemns`](Mature::condemns) named, dropping its pages from `mem`.
+    fn release_condemned(&mut self, pool: &mut PagePool, mem: &mut SimMemory);
 
     /// The bytes a nursery holding `young_pages` could grow to if it were
     /// empty, after setting this space's copy reserve aside.
@@ -87,7 +88,7 @@ impl Mature for MsSpace {
         self.alloc_survivor(pool, kind)
     }
 
-    fn release_condemned(&mut self, _pool: &mut PagePool) {}
+    fn release_condemned(&mut self, _pool: &mut PagePool, _mem: &mut SimMemory) {}
 
     /// No copy reserve: promotion fills cells the sweep freed.
     fn free_minus_reserve(&self, pool: &PagePool, young_pages: usize) -> u64 {
@@ -169,8 +170,8 @@ impl Mature for CopyMature {
             .expect("mature region exhausted")
     }
 
-    fn release_condemned(&mut self, pool: &mut PagePool) {
-        let _ = self.from.release_all(pool);
+    fn release_condemned(&mut self, pool: &mut PagePool, mem: &mut SimMemory) {
+        self.from.release_all(pool, mem);
         std::mem::swap(&mut self.from, &mut self.to);
     }
 

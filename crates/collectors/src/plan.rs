@@ -188,9 +188,10 @@ where
         }
         // Everything live has left the nursery — and, in a full collection,
         // whatever the mature space condemned.
-        self.young.release(&mut self.core.pool);
+        self.young.release(&mut self.core.pool, &mut self.core.mem);
         if full {
-            self.mature.release_condemned(&mut self.core.pool);
+            self.mature
+                .release_condemned(&mut self.core.pool, &mut self.core.mem);
             if let Some(remset) = self.young.remset() {
                 remset.clear();
             }
@@ -205,7 +206,8 @@ where
             // flip's copy targets are not checked against stale geometry.
             let (ms, mut bumps) = self.mature.audited();
             bumps.extend(self.young.space());
-            self.core.sanitize_physical_checks(ctx, ms, &bumps);
+            self.core
+                .sanitize_physical_checks(ctx, ms, &self.los, &bumps);
         }
         self.young.set_collecting(None);
         if full {
@@ -374,6 +376,10 @@ where
 
     fn pause_log(&self) -> &PauseLog {
         &self.core.pauses
+    }
+
+    fn exit(&mut self) {
+        self.core.exit();
     }
 
     fn tracer(&self) -> &Tracer {
@@ -560,8 +566,9 @@ mod tests {
             // …and the second, up to the after-collection one.
             p.core
                 .sweep(&mut ctx, p.mature.ms(), &mut p.los, |_, _| true, false);
-            p.young.release(&mut p.core.pool);
-            p.mature.release_condemned(&mut p.core.pool);
+            p.young.release(&mut p.core.pool, &mut p.core.mem);
+            p.mature
+                .release_condemned(&mut p.core.pool, &mut p.core.mem);
             p.young.set_collecting(None);
             p.resize_young();
             from_is_a = !from_is_a;

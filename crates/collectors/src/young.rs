@@ -4,7 +4,7 @@
 use std::fmt::Debug;
 
 use heap::gc::NurserySizer;
-use heap::{Address, AllocKind, BumpSpace, CollectKind, HeapConfig, PagePool};
+use heap::{Address, AllocKind, BumpSpace, CollectKind, HeapConfig, PagePool, SimMemory};
 
 use crate::mature::Mature;
 
@@ -66,10 +66,11 @@ pub trait Young: Sized + Debug {
         space.alloc(pool, size)
     }
 
-    /// Gives the evacuated nursery's pages back to `pool`.
-    fn release(&mut self, pool: &mut PagePool) {
+    /// Gives the evacuated nursery's pages back to `pool`, dropping them
+    /// from `mem`.
+    fn release(&mut self, pool: &mut PagePool, mem: &mut SimMemory) {
         if let Some((space, _)) = self.space_and_limit() {
-            let _ = space.release_all(pool);
+            space.release_all(pool, mem);
         }
     }
 

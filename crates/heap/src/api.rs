@@ -344,6 +344,12 @@ pub trait GcHeap {
     /// Stop-the-world pause log.
     fn pause_log(&self) -> &PauseLog;
 
+    /// Ends the heap's process: the program driving it has finished or run
+    /// out of memory, so its simulated memory's host pages are dropped.
+    /// Counters, the pause log, the tracer and the page counts stay
+    /// readable; the VMM is not told. Called once, by the driver.
+    fn exit(&mut self) {}
+
     /// Heap pages currently charged against the budget.
     fn heap_pages_used(&self) -> usize;
 

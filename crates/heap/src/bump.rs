@@ -1,9 +1,8 @@
 //! A bump-pointer space: the nursery, and the semispaces of the copying
 //! collectors.
 
-use vmm::VirtPage;
-
 use crate::addr::{Address, BYTES_PER_PAGE};
+use crate::mem::SimMemory;
 use crate::pool::PagePool;
 
 /// Pages acquired from the pool per growth step.
@@ -107,34 +106,26 @@ impl BumpSpace {
         self.top = self.base;
     }
 
-    /// Releases the whole mapped extent back to `pool` and returns the page
-    /// list (so the caller can `madvise` them away if it chooses to).
-    pub fn release_all(&mut self, pool: &mut PagePool) -> Vec<VirtPage> {
-        let pages = self.mapped_pages();
-        pool.release(pages.len());
+    /// Releases the whole mapped extent back to `pool`, dropping each of its
+    /// pages from `mem`: a released page owns no host memory and reads as
+    /// zero until it is written again (DESIGN.md §10.6).
+    pub fn release_all(&mut self, pool: &mut PagePool, mem: &mut SimMemory) {
+        for page in self.base.page().number()..self.extent.page().number() {
+            mem.discard(page);
+        }
+        pool.release(self.extent_pages());
         self.top = self.base;
         self.extent = self.base;
-        pages
-    }
-
-    /// Shrinks the mapped extent to the current top (page-rounded),
-    /// releasing the tail to `pool`; returns the released pages.
-    pub fn shrink_to_top(&mut self, pool: &mut PagePool) -> Vec<VirtPage> {
-        let keep = Address(self.top.0).align_up(BYTES_PER_PAGE);
-        let mut released = Vec::new();
-        let mut p = keep;
-        while p < self.extent {
-            released.push(p.page());
-            p = p.offset(BYTES_PER_PAGE);
-        }
-        pool.release(released.len());
-        self.extent = keep;
-        released
     }
 
     /// Whether `addr` lies in this space's *region* (not just the used part).
     pub fn region_contains(&self, addr: Address) -> bool {
         addr >= self.base && addr < self.region_limit
+    }
+
+    /// Whether `addr` lies in the mapped extent (allocated or not).
+    pub fn extent_contains(&self, addr: Address) -> bool {
+        addr >= self.base && addr < self.extent
     }
 
     /// Whether `addr` lies below the current bump pointer.
@@ -160,13 +151,6 @@ impl BumpSpace {
     /// Pages currently mapped.
     pub fn extent_pages(&self) -> usize {
         ((self.extent.0 - self.base.0) / BYTES_PER_PAGE) as usize
-    }
-
-    /// The mapped pages, in address order.
-    pub fn mapped_pages(&self) -> Vec<VirtPage> {
-        (0..self.extent_pages() as u32)
-            .map(|i| Address(self.base.0 + i * BYTES_PER_PAGE).page())
-            .collect()
     }
 
     /// Remaining bytes before the region (not the pool) is exhausted.
@@ -231,20 +215,18 @@ mod tests {
     #[test]
     fn release_all_returns_pages_to_pool() {
         let (mut s, mut pool) = space();
-        s.alloc(&mut pool, 4096 * 3).unwrap();
-        let pages = s.release_all(&mut pool);
-        assert_eq!(pages.len(), 16); // full GROW_PAGES extent
+        let mut mem = SimMemory::new();
+        let a = s.alloc(&mut pool, 4096 * 3).unwrap();
+        for page in 0..3 {
+            mem.write_word(a.offset(page * BYTES_PER_PAGE), 7);
+        }
+        s.release_all(&mut pool, &mut mem);
         assert_eq!(pool.used(), 0);
         assert_eq!(s.extent_pages(), 0);
-    }
-
-    #[test]
-    fn shrink_to_top_releases_tail() {
-        let (mut s, mut pool) = space();
-        s.alloc(&mut pool, 4096 + 100).unwrap(); // needs 2 pages, maps 16
-        let released = s.shrink_to_top(&mut pool);
-        assert_eq!(released.len(), 14);
-        assert_eq!(s.extent_pages(), 2);
-        assert_eq!(pool.used(), 2);
+        assert_eq!(mem.materialized().count(), 0);
+        // The re-grown space's first cell reads zero.
+        let b = s.alloc(&mut pool, 16).unwrap();
+        assert_eq!(b, a);
+        assert_eq!(mem.read_word(b), 0);
     }
 }

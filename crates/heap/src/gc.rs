@@ -85,6 +85,13 @@ impl Core {
         }
     }
 
+    /// Ends the process ([`GcHeap::exit`](crate::GcHeap::exit)): drops
+    /// every host page of the simulated memory at once. Nothing reads the
+    /// heap after its program has ended.
+    pub fn exit(&mut self) {
+        self.mem = SimMemory::new();
+    }
+
     /// Reads an object's header (charged).
     #[inline]
     pub fn header(&mut self, ctx: &mut MemCtx<'_>, obj: Address) -> Header {
@@ -275,7 +282,7 @@ impl Core {
                 }
                 for &cell in &dead {
                     // The superpage may become empty and be released here.
-                    let _ = ms.free_cell(&mut self.pool, cell);
+                    ms.free_cell(&mut self.pool, &mut self.mem, cell);
                 }
                 if !keep_marks && !dead.is_empty() && ms.info(sp).assignment.is_some() {
                     ms.note_partial(sp);
@@ -285,7 +292,7 @@ impl Core {
         }
         for (obj, _pages) in los.objects() {
             if !self.is_marked(ctx, obj) {
-                let _ = los.free(&mut self.pool, obj);
+                los.free(&mut self.pool, &mut self.mem, obj);
             } else if !keep_marks {
                 self.clear_mark(ctx, obj);
             }

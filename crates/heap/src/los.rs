@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use vmm::VirtPage;
 
 use crate::addr::{Address, BYTES_PER_PAGE};
+use crate::mem::SimMemory;
 use crate::pool::PagePool;
 
 /// A page-granular allocator for large objects.
@@ -77,18 +78,24 @@ impl LargeObjectSpace {
         Some(addr)
     }
 
-    /// Frees the object at `addr`, returning its pages (for discarding) and
-    /// releasing budget to `pool`.
+    /// Frees the object at `addr`, releasing its budget to `pool` and
+    /// dropping its pages from `mem`: a freed object's pages own no host
+    /// memory and read as zero until they are written again (DESIGN.md
+    /// §10.6).
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not a live large object.
-    pub fn free(&mut self, pool: &mut PagePool, addr: Address) -> Vec<VirtPage> {
+    pub fn free(&mut self, pool: &mut PagePool, mem: &mut SimMemory, addr: Address) {
         let pages = self
             .objects
             .remove(&addr.0)
             .expect("free of non-LOS object");
         pool.release(pages as usize);
+        let first = addr.page().number();
+        for page in first..first + pages {
+            mem.discard(page);
+        }
         // Insert and coalesce.
         let mut start = addr.0;
         let mut len = pages;
@@ -104,9 +111,6 @@ impl LargeObjectSpace {
             len += nlen;
         }
         self.free_runs.insert(start, len);
-        (0..pages)
-            .map(|i| Address(addr.0 + i * BYTES_PER_PAGE).page())
-            .collect()
     }
 
     /// Whether `addr` is the start of a live large object.
@@ -161,16 +165,17 @@ impl LargeObjectSpace {
 mod tests {
     use super::*;
 
-    fn space() -> (LargeObjectSpace, PagePool) {
+    fn space() -> (LargeObjectSpace, PagePool, SimMemory) {
         (
             LargeObjectSpace::new(Address(0x9040_0000), Address(0x9140_0000)),
             PagePool::new(4096),
+            SimMemory::new(),
         )
     }
 
     #[test]
     fn alloc_rounds_to_pages() {
-        let (mut los, mut pool) = space();
+        let (mut los, mut pool, _) = space();
         let a = los.alloc(&mut pool, 9000).unwrap();
         assert_eq!(pool.used(), 3);
         assert!(los.is_live_object(a));
@@ -179,10 +184,10 @@ mod tests {
 
     #[test]
     fn free_reuses_space_first_fit() {
-        let (mut los, mut pool) = space();
+        let (mut los, mut pool, mut mem) = space();
         let a = los.alloc(&mut pool, BYTES_PER_PAGE * 4).unwrap();
         let b = los.alloc(&mut pool, BYTES_PER_PAGE * 2).unwrap();
-        los.free(&mut pool, a);
+        los.free(&mut pool, &mut mem, a);
         assert!(!los.is_live_object(a));
         // A 3-page object fits in the 4-page hole.
         let c = los.alloc(&mut pool, BYTES_PER_PAGE * 3).unwrap();
@@ -194,22 +199,40 @@ mod tests {
     }
 
     #[test]
+    fn free_drops_the_objects_pages() {
+        let (mut los, mut pool, mut mem) = space();
+        let a = los.alloc(&mut pool, BYTES_PER_PAGE * 3).unwrap();
+        let b = los.alloc(&mut pool, BYTES_PER_PAGE).unwrap();
+        for page in 0..3 {
+            mem.write_word(a.offset(page * BYTES_PER_PAGE + 8), 7);
+        }
+        mem.write_word(b, 9);
+        los.free(&mut pool, &mut mem, a);
+        assert_eq!(mem.materialized().collect::<Vec<_>>(), [b.page().number()]);
+        // A re-allocated object in the freed run reads zero.
+        let c = los.alloc(&mut pool, BYTES_PER_PAGE * 2).unwrap();
+        assert_eq!(c, a);
+        assert_eq!(mem.read_word(c.offset(BYTES_PER_PAGE + 8)), 0);
+        assert_eq!(mem.read_word(b), 9);
+    }
+
+    #[test]
     fn coalescing_merges_neighbours() {
-        let (mut los, mut pool) = space();
+        let (mut los, mut pool, mut mem) = space();
         let a = los.alloc(&mut pool, BYTES_PER_PAGE * 2).unwrap();
         let b = los.alloc(&mut pool, BYTES_PER_PAGE * 2).unwrap();
         let c = los.alloc(&mut pool, BYTES_PER_PAGE * 2).unwrap();
         let _guard = los.alloc(&mut pool, BYTES_PER_PAGE).unwrap();
-        los.free(&mut pool, a);
-        los.free(&mut pool, c);
-        los.free(&mut pool, b); // merges with both neighbours
+        los.free(&mut pool, &mut mem, a);
+        los.free(&mut pool, &mut mem, c);
+        los.free(&mut pool, &mut mem, b); // merges with both neighbours
         let big = los.alloc(&mut pool, BYTES_PER_PAGE * 6).unwrap();
         assert_eq!(big, a, "coalesced run re-used");
     }
 
     #[test]
     fn object_containing_finds_interior_addresses() {
-        let (mut los, mut pool) = space();
+        let (mut los, mut pool, _) = space();
         let a = los.alloc(&mut pool, BYTES_PER_PAGE * 3).unwrap();
         assert_eq!(los.object_containing(a), Some((a, 3)));
         assert_eq!(
@@ -222,8 +245,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-LOS object")]
     fn free_of_unknown_address_panics() {
-        let (mut los, mut pool) = space();
-        los.free(&mut pool, Address(0x9040_0000));
+        let (mut los, mut pool, mut mem) = space();
+        los.free(&mut pool, &mut mem, Address(0x9040_0000));
     }
 
     #[test]

@@ -1,15 +1,28 @@
 //! The byte-addressable simulated memory backing a process's heap.
 //!
 //! Pages are materialized lazily on first write. Contents survive simulated
-//! eviction (as they would on a swap device). A page discarded via
-//! `madvise(MADV_DONTNEED)` is dropped at the discard:
-//! [`MemCtx::madvise_dontneed`](crate::MemCtx::madvise_dontneed) calls
-//! [`discard`](SimMemory::discard) for every page the VMM actually gave up,
-//! so it owns no host memory and reads as zero from then on. A page that
-//! holds bytes the VMM no longer maps for some other reason (a raw
-//! `Vmm::madvise_dontneed`, a write that never touched the VMM) is wiped by
-//! [`MemCtx`](crate::MemCtx) at its next touch, when the VMM reports a
-//! demand-zero fill.
+//! eviction (as they would on a swap device). A page the heap no longer
+//! uses owns no host memory (DESIGN.md §10.6); three paths drop pages:
+//!
+//! * **discard** — [`MemCtx::madvise_dontneed`](crate::MemCtx::madvise_dontneed)
+//!   calls [`discard`](SimMemory::discard) for every page the VMM actually
+//!   gave up under `madvise(MADV_DONTNEED)`;
+//! * **release** — a space that gives pages back to its
+//!   [`PagePool`](crate::PagePool) drops them as it does:
+//!   [`BumpSpace::release_all`](crate::BumpSpace::release_all),
+//!   [`MsSpace::release_sp`](crate::MsSpace::release_sp) (and
+//!   [`free_cell`](crate::MsSpace::free_cell), which calls it) and
+//!   [`LargeObjectSpace::free`](crate::LargeObjectSpace::free). The VMM is
+//!   not told: the frames stay, as a VMM-oblivious collector's would;
+//! * **exit** — [`Core::exit`](crate::gc::Core::exit) drops the whole
+//!   memory when the process's program has ended.
+//!
+//! A dropped page reads as zero until the next write materializes it again;
+//! nothing reads a released page's old bytes, since every new cell is
+//! zeroed or overwritten whole. A page that holds bytes the VMM no longer
+//! maps for some other reason (a raw `Vmm::madvise_dontneed`, a write that
+//! never touched the VMM) is wiped by [`MemCtx`](crate::MemCtx) at its next
+//! touch, when the VMM reports a demand-zero fill.
 //!
 //! `SimMemory` performs **no cost accounting**: it is raw storage. All
 //! charged access goes through [`MemCtx`](crate::MemCtx).

@@ -17,6 +17,7 @@
 use vmm::VirtPage;
 
 use crate::addr::{Address, BYTES_PER_PAGE, BYTES_PER_SUPERPAGE, PAGES_PER_SUPERPAGE};
+use crate::mem::SimMemory;
 use crate::object::ObjectKind;
 use crate::pool::PagePool;
 use crate::sizeclass::{SizeClasses, SUPERPAGE_METADATA_BYTES};
@@ -155,7 +156,8 @@ pub struct MsSpace {
     sps: Vec<SpState>,
     /// Superpages carved out of the region so far.
     extent_sps: u32,
-    /// Fully free superpages (memory still mapped, budget released).
+    /// Fully free superpages (still mapped by the VMM; budget released and
+    /// host pages dropped).
     free_sps: Vec<u32>,
     /// Per (class, kind): superpages with at least one free cell.
     partial: Vec<Vec<u32>>,
@@ -435,13 +437,12 @@ impl MsSpace {
     }
 
     /// Frees the cell at `addr`. If the superpage becomes empty it is
-    /// unassigned and its budget returned to `pool`; the superpage's pages
-    /// are returned so the caller may discard them.
+    /// released as by [`release_sp`](MsSpace::release_sp).
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not an allocated cell boundary.
-    pub fn free_cell(&mut self, pool: &mut PagePool, addr: Address) -> Option<[VirtPage; 4]> {
+    pub fn free_cell(&mut self, pool: &mut PagePool, mem: &mut SimMemory, addr: Address) {
         let sp = self.sp_of(addr);
         let (class, _) = self.sps[sp.0 as usize]
             .assignment
@@ -461,16 +462,15 @@ impl MsSpace {
             st.hint = cell;
         }
         if st.live_cells == 0 {
-            self.release_sp(pool, sp);
-            Some(self.sp_pages(sp))
-        } else {
-            None
+            self.release_sp(pool, mem, sp);
         }
     }
 
     /// Unassigns a superpage outright (compaction frees whole source
-    /// superpages), returning budget to `pool`.
-    pub fn release_sp(&mut self, pool: &mut PagePool, sp: SpIndex) {
+    /// superpages), returning budget to `pool` and dropping its four pages
+    /// from `mem`: a released superpage owns no host memory and reads as
+    /// zero until it is written again (DESIGN.md §10.6).
+    pub fn release_sp(&mut self, pool: &mut PagePool, mem: &mut SimMemory, sp: SpIndex) {
         self.invalidate_runs_for_sp(sp);
         let st = &mut self.sps[sp.0 as usize];
         debug_assert!(st.assignment.is_some());
@@ -487,6 +487,9 @@ impl MsSpace {
             list.retain(|&s| s != sp.0);
         }
         pool.release(PAGES_PER_SUPERPAGE as usize);
+        for page in self.sp_pages(sp) {
+            mem.discard(page.number());
+        }
     }
 
     /// Registers an assigned superpage as having free cells again (sweep
@@ -543,6 +546,15 @@ impl MsSpace {
     /// Sets the counter directly (fail-safe collection resets state, §3.5).
     pub fn reset_incoming_bookmarks(&mut self, sp: SpIndex) {
         self.sps[sp.0 as usize].incoming_bookmarks = 0;
+    }
+
+    /// Whether `addr` lies in a superpage assigned to a size class.
+    pub fn in_assigned_sp(&self, addr: Address) -> bool {
+        self.region_contains(addr)
+            && self
+                .sps
+                .get(((addr.0 - self.base.0) / BYTES_PER_SUPERPAGE) as usize)
+                .is_some_and(|st| st.assignment.is_some())
     }
 
     /// Whether `addr` is an allocated cell start.
@@ -891,30 +903,71 @@ mod tests {
     #[test]
     fn free_cell_empties_and_releases_superpage() {
         let (mut ms, mut pool) = space();
+        let mut mem = SimMemory::new();
         let sc = ms.classes().class_for(8184).unwrap();
         let a = ms.alloc(&mut pool, sc.index, BlockKind::Scalar).unwrap();
         let b = ms.alloc(&mut pool, sc.index, BlockKind::Scalar).unwrap();
-        assert!(ms.free_cell(&mut pool, a).is_none());
-        let pages = ms.free_cell(&mut pool, b).expect("superpage now empty");
-        assert_eq!(pages.len(), 4);
+        let sp = ms.sp_of(a);
+        for page in ms.sp_pages(sp) {
+            mem.write_word(Address(page.number() * BYTES_PER_PAGE), 7);
+        }
+        ms.free_cell(&mut pool, &mut mem, a);
+        assert!(ms.info(sp).assignment.is_some());
+        assert_eq!(
+            mem.materialized().count(),
+            4,
+            "a partial superpage keeps its pages"
+        );
+        ms.free_cell(&mut pool, &mut mem, b);
+        assert!(ms.info(sp).assignment.is_none());
+        assert_eq!(
+            mem.materialized().count(),
+            0,
+            "an empty superpage is dropped"
+        );
         assert_eq!(pool.used(), 0);
         assert_eq!(ms.free_sps().count(), 1);
-        // The free superpage is reused for a different class.
+        // The free superpage is reused for a different class, and its
+        // first cell reads zero.
         let tiny = ms.classes().class_for(8).unwrap().index;
         let c = ms.alloc(&mut pool, tiny, BlockKind::Scalar).unwrap();
-        assert_eq!(ms.sp_of(c), ms.sp_of(a), "empty superpage reassigned");
+        assert_eq!(ms.sp_of(c), sp, "empty superpage reassigned");
+        assert_eq!(mem.read_word(c), 0);
+    }
+
+    #[test]
+    fn release_sp_drops_the_superpage() {
+        let (mut ms, mut pool) = space();
+        let mut mem = SimMemory::new();
+        let class = ms.classes().class_for(64).unwrap().index;
+        let a = ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap();
+        let b = ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap();
+        mem.write_word(a, 1);
+        mem.write_word(b, 2);
+        // A neighbouring superpage's page is not the released one's.
+        let next = ms.sp_base(ms.sp_of(a)).offset(BYTES_PER_SUPERPAGE);
+        mem.write_word(next, 3);
+        ms.release_sp(&mut pool, &mut mem, ms.sp_of(a));
+        assert_eq!(
+            mem.materialized().collect::<Vec<_>>(),
+            [next.page().number()]
+        );
+        assert_eq!(ms.alloc(&mut pool, class, BlockKind::Scalar), Some(a));
+        assert_eq!(mem.read_word(a), 0);
+        assert_eq!(mem.read_word(b), 0);
     }
 
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let (mut ms, mut pool) = space();
+        let mut mem = SimMemory::new();
         let class = ms.classes().class_for(8).unwrap().index;
         let a = ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap();
         // Keep a second cell live so the superpage stays assigned.
         let _b = ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap();
-        let _ = ms.free_cell(&mut pool, a);
-        let _ = ms.free_cell(&mut pool, a);
+        ms.free_cell(&mut pool, &mut mem, a);
+        ms.free_cell(&mut pool, &mut mem, a);
     }
 
     #[test]
@@ -957,6 +1010,7 @@ mod tests {
     fn cells_overlapping_bytes_matches_interval_definition() {
         for size in [8u32, 24, 64, 200, 1000, 5000] {
             let (mut ms, mut pool) = space();
+            let mut mem = SimMemory::new();
             let sc = ms.classes().class_for(size).unwrap();
             let cells: Vec<Address> = (0..sc.cells_per_superpage)
                 .map(|_| ms.alloc(&mut pool, sc.index, BlockKind::Scalar).unwrap())
@@ -966,7 +1020,7 @@ mod tests {
             // Punch holes, keeping a few cells either side of a word edge.
             for (i, &cell) in cells.iter().enumerate() {
                 if i % 3 == 1 || (i % 64 > 2 && i % 64 < 61 && i % 5 != 0) {
-                    let _ = ms.free_cell(&mut pool, cell);
+                    ms.free_cell(&mut pool, &mut mem, cell);
                 }
             }
             let base = ms.sp_base(sp).0;
@@ -992,10 +1046,11 @@ mod tests {
         }
         // An unassigned superpage yields nothing.
         let (mut ms, mut pool) = space();
+        let mut mem = SimMemory::new();
         let class = ms.classes().class_for(64).unwrap().index;
         let a = ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap();
         let sp = ms.sp_of(a);
-        let _ = ms.free_cell(&mut pool, a);
+        ms.free_cell(&mut pool, &mut mem, a);
         assert_eq!(ms.cells_overlapping_page(sp, 0).count(), 0);
     }
 
@@ -1016,11 +1071,12 @@ mod tests {
     #[test]
     fn hint_reuses_freed_cells() {
         let (mut ms, mut pool) = space();
+        let mut mem = SimMemory::new();
         let class = ms.classes().class_for(8).unwrap().index;
         let addrs: Vec<Address> = (0..5)
             .map(|_| ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap())
             .collect();
-        assert!(ms.free_cell(&mut pool, addrs[1]).is_none());
+        ms.free_cell(&mut pool, &mut mem, addrs[1]);
         let again = ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap();
         assert_eq!(again, addrs[1], "freed cell is reused first");
     }
@@ -1053,12 +1109,13 @@ mod tests {
         // note_partial; a run cached past the freed cells must not survive,
         // or allocation order would diverge from the bit-scan order.
         let (mut ms, mut pool) = space();
+        let mut mem = SimMemory::new();
         let class = ms.classes().class_for(64).unwrap().index;
         let addrs: Vec<Address> = (0..8)
             .map(|_| ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap())
             .collect();
-        let _ = ms.free_cell(&mut pool, addrs[2]);
-        let _ = ms.free_cell(&mut pool, addrs[5]);
+        ms.free_cell(&mut pool, &mut mem, addrs[2]);
+        ms.free_cell(&mut pool, &mut mem, addrs[5]);
         ms.note_partial(ms.sp_of(addrs[0]));
         // Bit-scan order: lowest free cell first, then the next one.
         let a = ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap();
@@ -1076,12 +1133,13 @@ mod tests {
         // reassigned, possibly to a different class. Allocating into a
         // stale run pointing at the released superpage must be impossible.
         let (mut ms, mut pool) = space();
+        let mut mem = SimMemory::new();
         let sc = ms.classes().class_for(8184).unwrap();
         assert_eq!(sc.cells_per_superpage, 2);
         let a = ms.alloc(&mut pool, sc.index, BlockKind::Scalar).unwrap();
         let sp = ms.sp_of(a);
         // The cached run covers cell 1. Release the superpage outright.
-        ms.release_sp(&mut pool, sp);
+        ms.release_sp(&mut pool, &mut mem, sp);
         assert!(ms.info(sp).assignment.is_none());
         // The next alloc must reassign from scratch and start at cell 0,
         // not bump into cell 1 of the released run.
@@ -1089,7 +1147,7 @@ mod tests {
         assert_eq!(ms.sp_of(b), sp, "free superpage reused");
         assert_eq!(b, a, "allocation restarts at cell 0 after reassignment");
         // Reassignment to a different class and kind is equally safe.
-        ms.release_sp(&mut pool, sp);
+        ms.release_sp(&mut pool, &mut mem, sp);
         let tiny = ms.classes().class_for(8).unwrap().index;
         let c = ms.alloc(&mut pool, tiny, BlockKind::Array).unwrap();
         assert_eq!(ms.sp_of(c), sp);
@@ -1134,13 +1192,14 @@ mod tests {
         // The word-level iterator visits exactly the cells whose alloc
         // bits are set, in address order, across word boundaries.
         let (mut ms, mut pool) = space();
+        let mut mem = SimMemory::new();
         let sc = ms.classes().class_for(8).unwrap();
         let addrs: Vec<Address> = (0..200)
             .map(|_| ms.alloc(&mut pool, sc.index, BlockKind::Scalar).unwrap())
             .collect();
         let sp = ms.sp_of(addrs[0]);
         for &a in addrs.iter().step_by(3) {
-            let _ = ms.free_cell(&mut pool, a);
+            ms.free_cell(&mut pool, &mut mem, a);
         }
         let manual: Vec<Address> = (0..sc.cells_per_superpage)
             .map(|i| Address(ms.sp_base(sp).0 + SUPERPAGE_METADATA_BYTES + i * sc.cell_bytes))
@@ -1149,7 +1208,7 @@ mod tests {
         let via_iter: Vec<Address> = ms.allocated_cells_iter(sp).collect();
         assert_eq!(via_iter, manual);
         // Unassigned superpages iterate as empty.
-        ms.release_sp(&mut pool, sp);
+        ms.release_sp(&mut pool, &mut mem, sp);
         assert_eq!(ms.allocated_cells_iter(sp).count(), 0);
     }
 

@@ -53,12 +53,14 @@ impl PagePool {
         self.peak = self.peak.max(self.used);
     }
 
-    /// Returns `pages` to the pool.
+    /// Returns `pages` to the pool. Crate-private: only the spaces call
+    /// it, each as it drops the released pages' host memory (DESIGN.md
+    /// §10.6), so no caller outside can give pages back and keep them.
     ///
     /// # Panics
     ///
     /// Panics if more pages are released than were acquired.
-    pub fn release(&mut self, pages: usize) {
+    pub(crate) fn release(&mut self, pages: usize) {
         assert!(
             pages <= self.used,
             "releasing {pages} of {} used",

@@ -11,7 +11,10 @@
 //! * [`SanitizeLevel::Checks`] — cheap physical validation after every
 //!   collection: free-cell poisoning with canary words in [`MsSpace`] and
 //!   [`BumpSpace`] (validated on reuse and at the hook), allocation-run /
-//!   bitmap agreement, and VMM frame conservation.
+//!   bitmap agreement, the host-page audit (every page
+//!   [`SimMemory`](crate::SimMemory) holds lies in a bump extent, an
+//!   assigned superpage or a live large object), and VMM frame
+//!   conservation.
 //! * [`SanitizeLevel::Full`] — everything in `Checks`, plus an independent
 //!   **shadow re-trace** from the roots after each collection, using only
 //!   raw memory reads. Every reachable object is checked against the
@@ -39,6 +42,7 @@ use crate::addr::{Address, BYTES_PER_PAGE, WORD};
 use crate::bump::BumpSpace;
 use crate::ctx::MemCtx;
 use crate::gc::Core;
+use crate::los::LargeObjectSpace;
 use crate::ms::MsSpace;
 use crate::object::{field_addr, Header};
 
@@ -48,8 +52,8 @@ pub enum SanitizeLevel {
     /// No verification (the default; zero overhead).
     #[default]
     Off,
-    /// Cheap physical checks: canary poisoning, run-cache agreement, frame
-    /// conservation.
+    /// Cheap physical checks: canary poisoning, run-cache agreement, the
+    /// host-page audit, frame conservation.
     Checks,
     /// `Checks` plus the shadow re-trace and bookmark soundness.
     Full,
@@ -164,6 +168,14 @@ pub enum SanitizeError {
         /// The specific disagreement, from [`MsSpace::sanitize_check_runs`].
         detail: String,
     },
+    /// Simulated memory holds a page no space charges: one outside every
+    /// bump extent, assigned superpage and live large object. Something
+    /// wrote through a dangling pointer into memory the heap had released
+    /// (which dropped the page), or a release path kept the page.
+    UnchargedHostPage {
+        /// The page number.
+        page: u32,
+    },
     /// VMM frame conservation failed: free + resident != total frames.
     FrameAccounting {
         /// Free frames across all shards.
@@ -234,6 +246,13 @@ impl fmt::Display for SanitizeError {
             SanitizeError::RunCacheMismatch { detail } => {
                 write!(f, "run-cache mismatch: {detail}")
             }
+            SanitizeError::UnchargedHostPage { page } => write!(
+                f,
+                "uncharged host page: page {page} ({}) holds host memory but lies in no bump \
+                 extent, assigned superpage or live large object; a write reached memory the \
+                 heap had released, or a release kept its page",
+                Address(page * BYTES_PER_PAGE)
+            ),
             SanitizeError::FrameAccounting {
                 free,
                 resident,
@@ -484,8 +503,9 @@ impl Core {
 
     /// The post-collection physical checks ([`SanitizeLevel::Checks`] and
     /// up): run-cache agreement, canary validation and re-poisoning over
-    /// `ms` free cells and the `bumps` free tails, and VMM frame
-    /// conservation. Raw memory only; nothing is charged.
+    /// `ms` free cells and the `bumps` free tails, the host-page audit over
+    /// `ms`, `los` and `bumps`, and VMM frame conservation. Raw memory
+    /// only; nothing is charged.
     ///
     /// # Panics
     ///
@@ -494,6 +514,7 @@ impl Core {
         &mut self,
         ctx: &MemCtx<'_>,
         ms: Option<&MsSpace>,
+        los: &LargeObjectSpace,
         bumps: &[&BumpSpace],
     ) {
         if !self.sanitize_checks() {
@@ -550,6 +571,18 @@ impl Core {
             });
         }
         self.san.poisoned_cells = repoisoned;
+        // Every held host page is charged to a space: a released page was
+        // dropped (DESIGN.md §10.6), so one held outside them all is a
+        // write through a dangling pointer, or a release that kept it.
+        for page in self.mem.materialized() {
+            let addr = Address(page * BYTES_PER_PAGE);
+            let charged = bumps.iter().any(|b| b.extent_contains(addr))
+                || ms.is_some_and(|ms| ms.in_assigned_sp(addr))
+                || los.object_containing(addr).is_some();
+            if !charged {
+                SanitizeError::UnchargedHostPage { page }.report();
+            }
+        }
         // VMM frame conservation (the invariant the vmm proptests pin,
         // re-checked live on every collection).
         let free = ctx.vmm.free_frames();
@@ -618,6 +651,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::Layout;
     use crate::api::HeapConfig;
     use crate::object::ObjectKind;
     use crate::pool::PagePool;
@@ -636,6 +670,12 @@ mod tests {
             .sanitize(level)
             .build();
         (Core::new(config), vmm, Clock::new())
+    }
+
+    /// An empty large object space over the standard layout's LOS region.
+    fn los() -> LargeObjectSpace {
+        let (base, limit) = Layout::standard().los;
+        LargeObjectSpace::new(base, limit)
     }
 
     #[test]
@@ -763,18 +803,18 @@ mod tests {
         let _b = ms
             .alloc(&mut pool, class, crate::ms::BlockKind::Scalar)
             .unwrap();
-        let _ = ms.free_cell(&mut pool, a);
+        ms.free_cell(&mut pool, &mut core.mem, a);
         {
             let clock_ref = &mut clock;
             let ctx = MemCtx::new(&mut vmm, clock_ref, vmm::ProcessId::new(0));
-            core.sanitize_physical_checks(&ctx, Some(&ms), &[]);
+            core.sanitize_physical_checks(&ctx, Some(&ms), &los(), &[]);
         }
         assert_eq!(core.mem.read_word(a), CANARY);
         // A second pass validates what the first wrote.
         {
             let clock_ref = &mut clock;
             let ctx = MemCtx::new(&mut vmm, clock_ref, vmm::ProcessId::new(0));
-            core.sanitize_physical_checks(&ctx, Some(&ms), &[]);
+            core.sanitize_physical_checks(&ctx, Some(&ms), &los(), &[]);
         }
     }
 
@@ -791,17 +831,17 @@ mod tests {
         let _b = ms
             .alloc(&mut pool, class, crate::ms::BlockKind::Scalar)
             .unwrap();
-        let _ = ms.free_cell(&mut pool, a);
+        ms.free_cell(&mut pool, &mut core.mem, a);
         {
             let clock_ref = &mut clock;
             let ctx = MemCtx::new(&mut vmm, clock_ref, vmm::ProcessId::new(0));
-            core.sanitize_physical_checks(&ctx, Some(&ms), &[]);
+            core.sanitize_physical_checks(&ctx, Some(&ms), &los(), &[]);
         }
         // A stray write through a dangling pointer.
         core.mem.write_word(a.offset(8), 0x1234_5678);
         let clock_ref = &mut clock;
         let ctx = MemCtx::new(&mut vmm, clock_ref, vmm::ProcessId::new(0));
-        core.sanitize_physical_checks(&ctx, Some(&ms), &[]);
+        core.sanitize_physical_checks(&ctx, Some(&ms), &los(), &[]);
     }
 
     #[test]
@@ -824,11 +864,11 @@ mod tests {
             core.init_object(&mut ctx, a, ObjectKind::scalar(4, 0));
             core.init_object(&mut ctx, b, ObjectKind::scalar(4, 0));
         }
-        let _ = ms.free_cell(&mut pool, a);
+        ms.free_cell(&mut pool, &mut core.mem, a);
         {
             let clock_ref = &mut clock;
             let ctx = MemCtx::new(&mut vmm, clock_ref, vmm::ProcessId::new(0));
-            core.sanitize_physical_checks(&ctx, Some(&ms), &[]);
+            core.sanitize_physical_checks(&ctx, Some(&ms), &los(), &[]);
         }
         core.mem.write_word(a.offset(16), 0xBAD);
         // Reallocate the cell: init_object's reuse check must fire.
@@ -838,5 +878,33 @@ mod tests {
         assert_eq!(again, a);
         let mut ctx = MemCtx::new(&mut vmm, &mut clock, vmm::ProcessId::new(0));
         core.init_object(&mut ctx, again, ObjectKind::scalar(4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "sanitize: uncharged host page")]
+    fn write_into_a_freed_superpage_is_detected() {
+        let (mut core, mut vmm, mut clock) = setup(SanitizeLevel::Checks);
+        let mut pool = PagePool::new(1024);
+        let mut ms = MsSpace::new(Address(0x1040_0000), Address(0x1140_0000));
+        let class = ms.classes().class_for(64).unwrap().index;
+        let a = ms
+            .alloc(&mut pool, class, crate::ms::BlockKind::Scalar)
+            .unwrap();
+        let b = ms
+            .alloc(&mut pool, class, crate::ms::BlockKind::Scalar)
+            .unwrap();
+        {
+            let mut ctx = MemCtx::new(&mut vmm, &mut clock, vmm::ProcessId::new(0));
+            core.init_object(&mut ctx, a, ObjectKind::scalar(4, 0));
+            core.init_object(&mut ctx, b, ObjectKind::scalar(4, 0));
+        }
+        // Both cells die: the superpage is released and its pages dropped.
+        ms.free_cell(&mut pool, &mut core.mem, a);
+        ms.free_cell(&mut pool, &mut core.mem, b);
+        let ctx = MemCtx::new(&mut vmm, &mut clock, vmm::ProcessId::new(0));
+        core.sanitize_physical_checks(&ctx, Some(&ms), &los(), &[]);
+        // A stray write through the dangling pointer brings a page back.
+        core.mem.write_word(b.offset(8), 0x1234_5678);
+        core.sanitize_physical_checks(&ctx, Some(&ms), &los(), &[]);
     }
 }

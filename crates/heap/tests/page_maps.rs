@@ -1,7 +1,8 @@
 //! The two per-process page maps — the VMM's page table and `SimMemory`'s
 //! page directory — under a counting global allocator: what a process's
-//! first touches cost in host bytes, what a discard gives back, and what
-//! the maps answer against a `BTreeMap` model, reads allocating nothing.
+//! first touches cost in host bytes, what a discard or a release gives
+//! back, and what the maps answer against a `BTreeMap` model, reads
+//! allocating nothing.
 //!
 //! This lives in its own test binary so the global allocator cannot
 //! interfere with other tests. The counters are per thread (as in
@@ -53,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-use heap::{Address, Layout, MemCtx, SimMemory, BYTES_PER_PAGE};
+use heap::{Address, BumpSpace, Layout, MemCtx, PagePool, SimMemory, BYTES_PER_PAGE};
 use simtime::{Clock, CostModel};
 use vmm::{Access, PageState, VirtPage, Vmm, VmmConfig};
 
@@ -111,6 +112,30 @@ fn page_maps_cost_what_a_process_touches() {
     MemCtx::new(&mut vmm, &mut clock, pid).madvise_dontneed(&mut mem, &pages);
     assert_eq!(FREED.get(), 4 * BYTES_PER_PAGE as usize);
     assert_eq!(mem.materialized_pages(), 0);
+}
+
+/// A space that gives its pages back to the pool drops their host pages
+/// with them (DESIGN.md §10.6): releasing a written 16-page nursery extent
+/// frees exactly its sixteen 4 KiB page boxes.
+#[test]
+fn release_all_frees_the_page_boxes() {
+    let (base, limit) = Layout::standard().nursery;
+    let mut space = BumpSpace::new(base, limit);
+    let mut pool = PagePool::new(1024);
+    let mut mem = SimMemory::new();
+    space
+        .alloc(&mut pool, 8)
+        .expect("budget for one growth step");
+    assert_eq!(space.extent_pages(), 16);
+    for page in 0..16 {
+        mem.write_word(base.offset(page * BYTES_PER_PAGE), 1);
+    }
+
+    FREED.set(0);
+    space.release_all(&mut pool, &mut mem);
+    assert_eq!(FREED.get(), 16 * BYTES_PER_PAGE as usize);
+    assert_eq!(mem.materialized_pages(), 0);
+    assert_eq!(pool.used(), 0);
 }
 
 #[cfg(not(miri))]

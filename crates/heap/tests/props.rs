@@ -36,6 +36,7 @@ proptest! {
                                     free_mask in proptest::collection::vec(any::<bool>(), 120)) {
         let mut ms = MsSpace::new(Address(0x1040_0000), Address(0x1140_0000));
         let mut pool = PagePool::new(4096);
+        let mut mem = SimMemory::new();
         let mut live: Vec<(Address, u32)> = Vec::new();
         for (i, &size) in sizes.iter().enumerate() {
             let class = ms.classes().class_for(size).unwrap();
@@ -52,7 +53,7 @@ proptest! {
             // Maybe free one.
             if free_mask[i] && live.len() > 1 {
                 let (victim, _) = live.swap_remove(0);
-                let _ = ms.free_cell(&mut pool, victim);
+                ms.free_cell(&mut pool, &mut mem, victim);
                 prop_assert!(!ms.is_allocated_cell(victim));
             }
         }
@@ -80,6 +81,7 @@ proptest! {
         let mut plain = MsSpace::new(Address(0x1040_0000), Address(0x1140_0000));
         let mut pool_c = PagePool::new(4096);
         let mut pool_p = PagePool::new(4096);
+        let mut mem = SimMemory::new();
         let mut live: Vec<Address> = Vec::new();
         for &(op, size, idx) in &ops {
             let pick = |live: &Vec<Address>| live[idx as usize % live.len()];
@@ -87,9 +89,10 @@ proptest! {
                 // Free a live cell (both spaces see the same address).
                 0 if !live.is_empty() => {
                     let victim = live.swap_remove(idx as usize % live.len());
-                    let freed_c = cached.free_cell(&mut pool_c, victim);
-                    let freed_p = plain.free_cell(&mut pool_p, victim);
-                    prop_assert_eq!(freed_c, freed_p);
+                    let sp = cached.sp_of(victim);
+                    cached.free_cell(&mut pool_c, &mut mem, victim);
+                    plain.free_cell(&mut pool_p, &mut mem, victim);
+                    prop_assert_eq!(cached.info(sp), plain.info(sp));
                 }
                 // Re-list a superpage as partial, sweep-style.
                 1 if !live.is_empty() => {
@@ -143,10 +146,13 @@ proptest! {
     fn los_alloc_free_coalesces(sizes in proptest::collection::vec(1u32..(64 << 10), 1..40)) {
         let mut los = LargeObjectSpace::new(Address(0x9040_0000), Address(0x9140_0000));
         let mut pool = PagePool::new(1 << 16);
+        let mut mem = SimMemory::new();
         let mut objs = Vec::new();
         let mut total_pages = 0u32;
         for &s in &sizes {
             let a = los.alloc(&mut pool, s).unwrap();
+            mem.write_word(a, 1);
+            mem.write_word(Address(a.0 + (s - 1) / 4 * 4), 2);
             prop_assert_eq!(a.0 % BYTES_PER_PAGE, 0);
             for &b in &objs {
                 prop_assert!(a != b);
@@ -156,9 +162,10 @@ proptest! {
         }
         prop_assert_eq!(pool.used(), total_pages as usize);
         for &a in &objs {
-            los.free(&mut pool, a);
+            los.free(&mut pool, &mut mem, a);
         }
         prop_assert_eq!(pool.used(), 0);
+        prop_assert_eq!(mem.materialized_pages(), 0, "a freed object kept a page");
         prop_assert!(los.is_empty());
         // After freeing everything the space coalesced: one allocation of
         // the combined size fits at the region start.

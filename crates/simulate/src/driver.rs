@@ -212,7 +212,13 @@ impl Driver {
                     jvm.failed = Some(oom);
                 }
             }
-            if jvm.finished || jvm.clock.now() >= turn_end {
+            if jvm.finished {
+                // The process has exited: its heap's host pages go now, not
+                // when the driver is dropped (DESIGN.md §10.6).
+                jvm.gc.exit();
+                break;
+            }
+            if jvm.clock.now() >= turn_end {
                 break;
             }
         }

@@ -351,9 +351,10 @@ impl Bookmarking {
         let ram_word = ctx.vmm.costs().ram_word;
         let entries = self.wbuf.drain();
         ctx.clock.advance(ram_word * entries.len() as u64);
-        for slot in entries {
+        for &slot in &entries {
             self.cards.mark(slot);
         }
+        self.wbuf.give_back(entries);
     }
 
     /// Scans the reference fields of `obj` whose slots fall in
@@ -575,7 +576,7 @@ impl Bookmarking {
     /// evicted tail can still take stores into its resident head.
     pub(crate) fn process_remembered_set(&mut self, ctx: &mut MemCtx<'_>) {
         let entries = self.wbuf.drain();
-        for slot in entries {
+        for &slot in &entries {
             if !self.residency.page_resident(slot.page()) {
                 continue;
             }
@@ -585,6 +586,7 @@ impl Bookmarking {
                 self.core.write_slot(ctx, slot, new);
             }
         }
+        self.wbuf.give_back(entries);
         for card in self.cards.dirty_cards() {
             self.scan_card(ctx, card);
         }
@@ -684,7 +686,7 @@ impl Bookmarking {
         }
         self.core
             .sanitize_physical_checks(ctx, Some(&self.ms), &self.los, &[&self.nursery]);
-        self.wbuf.retain_entries(Vec::new());
+        self.wbuf.clear();
         self.cards.clear();
         self.phase = Phase::Idle;
         self.core.stats.full_gcs += 1;

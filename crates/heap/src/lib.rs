@@ -46,6 +46,8 @@ mod roots;
 pub mod sanitize;
 mod sizeclass;
 mod stats;
+#[cfg(test)]
+mod test_alloc;
 mod tracer;
 mod wbuf;
 
@@ -58,7 +60,7 @@ pub use bump::BumpSpace;
 pub use card::CardTable;
 pub use ctx::MemCtx;
 pub use los::LargeObjectSpace;
-pub use mem::SimMemory;
+pub use mem::{SimMemory, PAGE_BOX_ALIGN};
 pub use ms::{AllocatedCells, BlockKind, MsSpace, SpIndex, SuperpageInfo};
 pub use object::{Header, ObjectKind, LARGEST_CELL_BYTES, MAX_SMALL_OBJECT_BYTES};
 pub use packet::{PacketQueue, TraceScratch, PACKET_CAP};

@@ -47,7 +47,18 @@ const PAGE: usize = BYTES_PER_PAGE as usize;
 /// Words per page.
 const PAGE_WORDS: usize = PAGE / 4;
 
-type PageBox = Option<Box<[u32; PAGE_WORDS]>>;
+/// One page's words, the 4 KiB host box a materialized page owns. The
+/// system allocator already aligns a 4 KiB block to 16 bytes, so the
+/// alignment costs nothing; it gives page boxes a layout no other
+/// allocation has ([`PAGE_BOX_ALIGN`]), unlike a `Vec<u32>` of 1 024 words.
+#[repr(C, align(16))]
+struct PageWords([u32; PAGE_WORDS]);
+
+/// The alignment of a page box: an allocation of `BYTES_PER_PAGE` bytes at
+/// this alignment is a `SimMemory` page and nothing else.
+pub const PAGE_BOX_ALIGN: usize = align_of::<PageWords>();
+
+type PageBox = Option<Box<PageWords>>;
 
 /// The page directory: `vmm`'s radix [`PageMap`] with one page box per
 /// page, so it costs one 1 KiB inner node per 64 MiB region written and one
@@ -67,8 +78,8 @@ fn empty_directory() -> Box<Directory> {
 
 #[cold]
 #[inline(never)]
-fn zero_page() -> Box<[u32; PAGE_WORDS]> {
-    Box::new([0; PAGE_WORDS])
+fn zero_page() -> Box<PageWords> {
+    Box::new(PageWords([0; PAGE_WORDS]))
 }
 
 /// A sparse, page-granular byte store over the 32-bit simulated space: a
@@ -97,7 +108,7 @@ impl SimMemory {
     /// The materialized page at `idx`, or `None` (reads as zero).
     #[inline]
     fn page(&self, idx: u32) -> Option<&[u32; PAGE_WORDS]> {
-        self.dir.as_deref()?.get(idx)?.as_deref()
+        self.dir.as_deref()?.get(idx)?.as_deref().map(|p| &p.0)
     }
 
     /// The slot holding page `idx`, if its directory leaf exists.
@@ -109,7 +120,7 @@ impl SimMemory {
     /// The materialized page at `idx` for writing, without materializing.
     #[inline]
     fn page_opt_mut(&mut self, idx: u32) -> Option<&mut [u32; PAGE_WORDS]> {
-        self.slot_opt_mut(idx)?.as_deref_mut()
+        self.slot_opt_mut(idx)?.as_deref_mut().map(|p| &mut p.0)
     }
 
     /// Page `idx` for writing, materialized on first use. One walk: the
@@ -117,10 +128,12 @@ impl SimMemory {
     /// constructor if it is missing.
     #[inline]
     fn page_mut(&mut self, idx: u32) -> &mut [u32; PAGE_WORDS] {
-        self.dir
+        &mut self
+            .dir
             .get_or_insert_with(empty_directory)
             .get_or_default(idx)
             .get_or_insert_with(zero_page)
+            .0
     }
 
     /// The page index and in-page word offset of a word-aligned address.
@@ -293,7 +306,7 @@ impl SimMemory {
             } else if let Some(sp) = self.slot_opt_mut(s_idx).and_then(Option::take) {
                 // Detach the source page so the destination can be borrowed
                 // (and lazily materialized) at the same time.
-                self.page_mut(d_idx)[d_off..d_off + run].copy_from_slice(&sp[s_off..s_off + run]);
+                self.page_mut(d_idx)[d_off..d_off + run].copy_from_slice(&sp.0[s_off..s_off + run]);
                 *self.slot_opt_mut(s_idx).expect("slot taken from above") = Some(sp);
             } else if let Some(p) = self.page_opt_mut(d_idx) {
                 // Source reads as zero; only clear a materialized target.

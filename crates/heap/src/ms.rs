@@ -14,6 +14,8 @@
 //! this problem by further segmenting our allocation to allow superpages to
 //! hold either only scalars or only arrays".
 
+use std::num::NonZeroU32;
+
 use vmm::VirtPage;
 
 use crate::addr::{Address, BYTES_PER_PAGE, BYTES_PER_SUPERPAGE, PAGES_PER_SUPERPAGE};
@@ -141,10 +143,22 @@ struct AllocRun {
     sp: u32,
     /// Next cell to hand out.
     next: u32,
-    /// One past the last known-free cell of the run.
-    end: u32,
+    /// One past the last known-free cell of the run (never zero, which
+    /// keeps `Option<AllocRun>` at 16 bytes).
+    end: NonZeroU32,
     /// The class's cell size, cached for pure address arithmetic.
     cell_bytes: u32,
+}
+
+/// One (class, kind)'s entry in the class table: the superpages it can
+/// allocate from, and its cached run.
+#[derive(Clone, Debug, Default)]
+struct ClassList {
+    /// Superpages with at least one free cell, assigned to this (class,
+    /// kind); the last is the head.
+    partial: Vec<u32>,
+    /// The cached allocation run, if any.
+    run: Option<AllocRun>,
 }
 
 /// The segregated-fit mark-sweep space.
@@ -159,10 +173,10 @@ pub struct MsSpace {
     /// Fully free superpages (still mapped by the VMM; budget released and
     /// host pages dropped).
     free_sps: Vec<u32>,
-    /// Per (class, kind): superpages with at least one free cell.
-    partial: Vec<Vec<u32>>,
-    /// Per (class, kind): the cached allocation run, if any.
-    runs: Vec<Option<AllocRun>>,
+    /// The class table, one [`ClassList`] per (class, kind). Empty until
+    /// the first superpage assignment builds it: a space that never held a
+    /// cell owns none (DESIGN.md §10.6).
+    lists: Box<[ClassList]>,
 }
 
 impl MsSpace {
@@ -174,17 +188,14 @@ impl MsSpace {
     pub fn new(base: Address, region_limit: Address) -> MsSpace {
         assert_eq!(base.0 % BYTES_PER_SUPERPAGE, 0);
         assert_eq!(region_limit.0 % BYTES_PER_SUPERPAGE, 0);
-        let classes = SizeClasses::shared();
-        let n_classes = classes.iter().count();
         MsSpace {
             base,
             region_limit,
-            classes,
+            classes: SizeClasses::shared(),
             sps: Vec::new(),
             extent_sps: 0,
             free_sps: Vec::new(),
-            partial: vec![Vec::new(); n_classes * 2],
-            runs: vec![None; n_classes * 2],
+            lists: Box::default(),
         }
     }
 
@@ -230,7 +241,7 @@ impl MsSpace {
             .expect("mature region exhausted")
     }
 
-    fn partial_idx(class: u8, kind: BlockKind) -> usize {
+    fn list_idx(class: u8, kind: BlockKind) -> usize {
         class as usize * 2 + if kind == BlockKind::Array { 1 } else { 0 }
     }
 
@@ -238,62 +249,66 @@ impl MsSpace {
     /// `pool` as needed. Returns `None` when the pool (or region) is
     /// exhausted.
     pub fn alloc(&mut self, pool: &mut PagePool, class: u8, kind: BlockKind) -> Option<Address> {
-        let pidx = Self::partial_idx(class, kind);
-        // Fast path: bump the cached allocation run.
-        if let Some(run) = self.runs[pidx] {
-            if run.next < run.end {
-                let st = &mut self.sps[run.sp as usize];
-                debug_assert_eq!(st.assignment, Some((class, kind)));
-                debug_assert!(!st.is_allocated(run.next), "stale allocation run");
-                st.set_allocated(run.next, true);
-                st.live_cells += 1;
-                st.hint = run.next + 1;
-                self.runs[pidx] = Some(AllocRun {
-                    next: run.next + 1,
-                    ..run
-                });
-                return Some(self.cell_addr(SpIndex(run.sp), run.next, run.cell_bytes));
+        let idx = Self::list_idx(class, kind);
+        // Fast path: bump the cached allocation run. Before the class
+        // table is built there is no run and no partial list.
+        if let Some(list) = self.lists.get_mut(idx) {
+            if let Some(run) = list.run {
+                if run.next < run.end.get() {
+                    let st = &mut self.sps[run.sp as usize];
+                    debug_assert_eq!(st.assignment, Some((class, kind)));
+                    debug_assert!(!st.is_allocated(run.next), "stale allocation run");
+                    st.set_allocated(run.next, true);
+                    st.live_cells += 1;
+                    st.hint = run.next + 1;
+                    list.run = Some(AllocRun {
+                        next: run.next + 1,
+                        ..run
+                    });
+                    return Some(self.cell_addr(SpIndex(run.sp), run.next, run.cell_bytes));
+                }
+                list.run = None;
             }
-            self.runs[pidx] = None;
         }
-        while let Some(&sp) = self.partial[pidx].last() {
-            if let Some(addr) = self.alloc_with_run(SpIndex(sp), pidx, class) {
+        while let Some(sp) = self.lists.get(idx).and_then(|l| l.partial.last().copied()) {
+            if let Some(addr) = self.alloc_with_run(SpIndex(sp), idx, class) {
                 return Some(addr);
             }
-            self.partial[pidx].pop();
+            self.lists[idx].partial.pop();
         }
         // Need a fresh superpage: reuse a free one or extend the region.
         let sp = self.take_free_superpage(pool)?;
         self.assign(sp, class, kind);
-        self.partial[pidx].push(sp.0);
-        self.alloc_with_run(sp, pidx, class)
+        self.alloc_with_run(sp, idx, class)
     }
 
     /// Slow-path allocation in `sp` that also (re)establishes the run
-    /// cache for `pidx`: the allocated cell is found by bit scan, and the
-    /// contiguous free cells right after it become the new run.
-    fn alloc_with_run(&mut self, sp: SpIndex, pidx: usize, class: u8) -> Option<Address> {
+    /// cache for list `idx`: the allocated cell is found by bit scan, and
+    /// the contiguous free cells right after it become the new run.
+    fn alloc_with_run(&mut self, sp: SpIndex, idx: usize, class: u8) -> Option<Address> {
         let sc = self.classes.class(class);
         let (cell_bytes, cells) = (sc.cell_bytes, sc.cells_per_superpage);
         let cell = self.alloc_cell_in_sp(sp, class)?;
         let end = self.sps[sp.0 as usize].free_run_end(cell + 1, cells);
-        self.runs[pidx] = (cell + 1 < end).then_some(AllocRun {
-            sp: sp.0,
-            next: cell + 1,
-            end,
-            cell_bytes,
-        });
+        self.lists[idx].run = NonZeroU32::new(end)
+            .filter(|_| cell + 1 < end)
+            .map(|end| AllocRun {
+                sp: sp.0,
+                next: cell + 1,
+                end,
+                cell_bytes,
+            });
         Some(self.cell_addr(sp, cell, cell_bytes))
     }
 
     /// Drops a cached run pointing at `sp`, if any. A run for a superpage
-    /// always lives at the partial index of that superpage's assignment,
-    /// so this is a single-slot check.
+    /// always lives in the class list of that superpage's assignment, so
+    /// this is a single-slot check.
     fn invalidate_runs_for_sp(&mut self, sp: SpIndex) {
         if let Some((class, kind)) = self.sps[sp.0 as usize].assignment {
-            let pidx = Self::partial_idx(class, kind);
-            if self.runs[pidx].is_some_and(|r| r.sp == sp.0) {
-                self.runs[pidx] = None;
+            let list = &mut self.lists[Self::list_idx(class, kind)];
+            if list.run.is_some_and(|r| r.sp == sp.0) {
+                list.run = None;
             }
         }
     }
@@ -302,7 +317,7 @@ impl MsSpace {
     /// bit-scan slow path until runs are re-established. Safe at any time;
     /// tests use it to compare cached against uncached allocation order.
     pub fn invalidate_runs(&mut self) {
-        self.runs.iter_mut().for_each(|r| *r = None);
+        self.lists.iter_mut().for_each(|l| l.run = None);
     }
 
     /// Like [`alloc`](MsSpace::alloc), but overruns the pool budget rather
@@ -332,9 +347,7 @@ impl MsSpace {
             SpIndex(sp)
         };
         self.assign(sp, class, kind);
-        let pidx = Self::partial_idx(class, kind);
-        self.partial[pidx].push(sp.0);
-        self.alloc_with_run(sp, pidx, class)
+        self.alloc_with_run(sp, Self::list_idx(class, kind), class)
     }
 
     /// Acquires a completely free superpage (budget charged to `pool`),
@@ -361,10 +374,19 @@ impl MsSpace {
         Some(SpIndex(sp))
     }
 
+    /// Assigns a free superpage to (`class`, `kind`) and lists it as
+    /// partial. The first assignment builds the class table.
     fn assign(&mut self, sp: SpIndex, class: u8, kind: BlockKind) {
+        if self.lists.is_empty() {
+            self.lists = vec![ClassList::default(); self.classes.iter().count() * 2].into();
+        }
         // A freshly (re)assigned superpage can have no cached run:
         // `release_sp` drops the run when the superpage is unassigned.
-        debug_assert!(self.runs.iter().flatten().all(|r| r.sp != sp.0));
+        debug_assert!(self
+            .lists
+            .iter()
+            .filter_map(|l| l.run)
+            .all(|r| r.sp != sp.0));
         let cells = self.classes.class(class).cells_per_superpage;
         let st = &mut self.sps[sp.0 as usize];
         debug_assert!(st.assignment.is_none() && st.live_cells == 0);
@@ -372,6 +394,7 @@ impl MsSpace {
         st.alloc_bits = vec![0; cells.div_ceil(64) as usize];
         st.live_cells = 0;
         st.hint = 0;
+        self.lists[Self::list_idx(class, kind)].partial.push(sp.0);
     }
 
     /// Allocates a cell within a specific superpage (used by compaction to
@@ -473,18 +496,18 @@ impl MsSpace {
     pub fn release_sp(&mut self, pool: &mut PagePool, mem: &mut SimMemory, sp: SpIndex) {
         self.invalidate_runs_for_sp(sp);
         let st = &mut self.sps[sp.0 as usize];
-        debug_assert!(st.assignment.is_some());
-        st.assignment = None;
+        let assignment = st.assignment.take();
+        debug_assert!(assignment.is_some());
         st.alloc_bits.clear();
         st.live_cells = 0;
         st.incoming_bookmarks = 0;
         st.hint = 0;
         self.free_sps.push(sp.0);
-        // Remove from any partial list lazily: partial lists are pruned in
-        // alloc when alloc_in_sp fails, and assignment changes invalidate
-        // stale entries there.
-        for list in &mut self.partial {
-            list.retain(|&s| s != sp.0);
+        // A superpage is listed only under its own (class, kind).
+        if let Some((class, kind)) = assignment {
+            self.lists[Self::list_idx(class, kind)]
+                .partial
+                .retain(|&s| s != sp.0);
         }
         pool.release(PAGES_PER_SUPERPAGE as usize);
         for page in self.sp_pages(sp) {
@@ -496,12 +519,12 @@ impl MsSpace {
     /// re-lists partially filled superpages).
     pub fn note_partial(&mut self, sp: SpIndex) {
         if let Some((class, kind)) = self.sps[sp.0 as usize].assignment {
-            let pidx = Self::partial_idx(class, kind);
-            if !self.partial[pidx].contains(&sp.0) {
-                self.partial[pidx].push(sp.0);
+            let list = &mut self.lists[Self::list_idx(class, kind)];
+            if !list.partial.contains(&sp.0) {
+                list.partial.push(sp.0);
                 // The partial-list head changed: a cached run for this
                 // (class, kind) no longer tracks the head superpage.
-                self.runs[pidx] = None;
+                list.run = None;
             }
         }
     }
@@ -768,12 +791,12 @@ impl MsSpace {
     ///
     /// Returns the first violated invariant, human-readable.
     pub fn sanitize_check_runs(&self) -> Result<(), String> {
-        for (pidx, run) in self.runs.iter().enumerate() {
-            let Some(run) = run else {
+        for (idx, list) in self.lists.iter().enumerate() {
+            let Some(run) = list.run else {
                 continue;
             };
-            let class = (pidx / 2) as u8;
-            let kind = if pidx % 2 == 1 {
+            let class = (idx / 2) as u8;
+            let kind = if idx % 2 == 1 {
                 BlockKind::Array
             } else {
                 BlockKind::Scalar
@@ -792,13 +815,13 @@ impl MsSpace {
                     run.cell_bytes, c.cell_bytes
                 ));
             }
-            if run.end > c.cells_per_superpage {
+            if run.end.get() > c.cells_per_superpage {
                 return Err(format!(
                     "cached run end {} beyond superpage capacity {}",
                     run.end, c.cells_per_superpage
                 ));
             }
-            for cell in run.next..run.end {
+            for cell in run.next..run.end.get() {
                 if st.is_allocated(cell) {
                     return Err(format!(
                         "cached run covers cell {cell} of sp {} which the bitmap says is allocated",
@@ -857,12 +880,61 @@ impl Iterator for AllocatedCells<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_alloc::allocations_during;
 
     fn space() -> (MsSpace, PagePool) {
         (
             MsSpace::new(Address(0x1040_0000), Address(0x1140_0000)),
             PagePool::new(4096),
         )
+    }
+
+    /// A space owns no class table until a superpage is assigned: `new`
+    /// allocates nothing, and an allocation that finds no superpage (here,
+    /// an exhausted pool) builds nothing either.
+    #[test]
+    fn the_class_table_is_built_by_the_first_assignment() {
+        let (mut ms, allocations) =
+            allocations_during(|| MsSpace::new(Address(0x1040_0000), Address(0x1140_0000)));
+        assert_eq!(allocations, 0, "MsSpace::new allocates nothing");
+        let class = ms.classes().class_for(64).unwrap().index;
+        let mut empty = PagePool::new(0);
+        assert_eq!(ms.alloc(&mut empty, class, BlockKind::Scalar), None);
+        assert!(ms.lists.is_empty());
+        let mut pool = PagePool::new(4096);
+        ms.alloc(&mut pool, class, BlockKind::Scalar).unwrap();
+        assert_eq!(ms.lists.len(), 2 * ms.classes().iter().count());
+    }
+
+    /// A released superpage leaves its class list, and no list names it,
+    /// whether it was the list's head or below it.
+    #[test]
+    fn release_sp_unlists_the_superpage() {
+        let (mut ms, mut pool) = space();
+        let mut mem = SimMemory::new();
+        let sc = ms.classes().class_for(8184).unwrap();
+        assert_eq!(sc.cells_per_superpage, 2);
+        // Three superpages, each left with one free cell and re-listed.
+        let cells: Vec<Address> = (0..6)
+            .map(|_| ms.alloc(&mut pool, sc.index, BlockKind::Scalar).unwrap())
+            .collect();
+        for pair in cells.chunks(2) {
+            ms.free_cell(&mut pool, &mut mem, pair[1]);
+            ms.note_partial(ms.sp_of(pair[0]));
+        }
+        let listed = |ms: &MsSpace, sp: SpIndex| {
+            ms.lists
+                .iter()
+                .filter(|l| l.partial.contains(&sp.0))
+                .count()
+        };
+        let sps: Vec<SpIndex> = cells.chunks(2).map(|p| ms.sp_of(p[0])).collect();
+        assert!(sps.iter().all(|&sp| listed(&ms, sp) == 1));
+        for (&sp, pair) in sps.iter().zip(cells.chunks(2)).rev() {
+            ms.free_cell(&mut pool, &mut mem, pair[0]);
+            assert_eq!(listed(&ms, sp), 0, "{sp:?} still listed");
+        }
+        assert!(ms.lists.iter().all(|l| l.partial.is_empty()));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use heap::{AllocKind, GcHeap, Handle, HeapConfig, MemCtx, OutOfMemory, BYTES_PER_PAGE};
+use heap::{
+    AllocKind, GcHeap, Handle, HeapConfig, MemCtx, OutOfMemory, BYTES_PER_PAGE, PAGE_BOX_ALIGN,
+};
 use simtime::{Clock, CostModel, Nanos};
 use simulate::experiments::{run_fleet, FleetConfig, TenantResult};
 use simulate::{CollectorKind, Program, ProgramStatus};
@@ -23,9 +25,10 @@ thread_local! {
     static PEAK: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Whether an allocation is a `SimMemory` page box: 4 KiB of `u32`s.
+/// Whether an allocation is a `SimMemory` page box: 4 KiB at the layout
+/// no other allocation has.
 fn is_page_box(layout: Layout) -> bool {
-    layout.size() == BYTES_PER_PAGE as usize && layout.align() == 4
+    layout.size() == BYTES_PER_PAGE as usize && layout.align() == PAGE_BOX_ALIGN
 }
 
 /// Adds (`grow`) or takes away a page box's bytes on this thread.
@@ -226,13 +229,9 @@ fn exit_drops_the_heap_and_keeps_its_results() {
             gc.heap_pages_peak(),
         );
         gc.exit();
-        // What stays is the collector's own 4 KiB vectors of 4-byte words
-        // (a write buffer, a root table), which the counter cannot tell
-        // from page boxes: at most a page or two, against the heap's
-        // dozens.
         let kept = live() - base;
-        assert!(
-            kept <= 2 * BYTES_PER_PAGE as usize,
+        assert_eq!(
+            kept, 0,
             "{collector:?} kept {kept} page-box bytes past exit"
         );
         let after = (

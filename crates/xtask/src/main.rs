@@ -32,7 +32,11 @@
 //!    two halves of the duplicate run path — the eight-positional-argument
 //!    `CollectorKind::build_with_policy` (now `build(HeapConfig, ..)`),
 //!    the second event loop's `deliver_signals` (now `Driver::deliver`)
-//!    and `Vmm::touch_range`, a second copy of `MemCtx::touch`'s page loop.
+//!    and `Vmm::touch_range`, a second copy of `MemCtx::touch`'s page loop;
+//!    a heap calling `Vmm::madvise_dontneed` itself, which keeps the host
+//!    page; and `WriteBuffer::retain_entries`, which dropped the buffer's
+//!    page for a vector regrown from empty (the buffer is now cleared or
+//!    given back its page, DESIGN.md §10.6).
 //! 5. **`#[inline]` registry** — the charged-access path (`Vmm::touch`,
 //!    `MemCtx::touch`, the `SimMemory` accessors and the page map's index
 //!    helpers under them, the `Core` object primitives) crosses three crates and neither release profile has
@@ -208,6 +212,12 @@ fn dead_tokens() -> Vec<(String, &'static str)> {
         (
             ["ctx.vmm.madvise_", "dontneed("].concat(),
             "MemCtx::madvise_dontneed, which drops the host page too",
+        ),
+        // Replacing a write buffer's page with a fresh vector (DESIGN.md
+        // §10.6): the buffer keeps its one page.
+        (
+            ["retain_", "entries("].concat(),
+            "WriteBuffer::clear, or WriteBuffer::give_back after a drain",
         ),
     ]
 }
@@ -712,6 +722,10 @@ mod tests {
             (
                 ["ctx.vmm.madvise_", "dontneed(ctx.pid, &[page], ctx.clock)"].concat(),
                 "MemCtx::madvise_dontneed",
+            ),
+            (
+                ["self.wbuf.retain_", "entries(Vec::new())"].concat(),
+                "WriteBuffer::clear",
             ),
         ] {
             let stripped = strip_source(&format!("fn f() {{ {call}; }}\n"));
